@@ -887,8 +887,8 @@ let throughput_smoke () =
 (* The same streambench cell on the proc backend across the transport ×
    credit-window × batch grid: Unix-domain sockets at inflight {1, 16}
    as the syscall-path control, shared-memory rings at inflight
-   {1, 4, 16}, each at batch 1, 64 and 512.  inflight=1 is the classic
-   strict request/response driver, so the per-batch vs_strict column
+   {1, 4, 16}, each at batch 1, 64 and 512.  inflight=1 is one
+   request/response round trip per frame, so the per-batch vs_strict column
    isolates exactly what credit-based pipelining buys; ring slots are
    planner-sized from the batch plan ({!Datacutter.Engine.plan_frame_bytes})
    so the overflow column stays at zero even for B=512 frames.  Each leg

@@ -755,9 +755,10 @@ let inflight_arg =
         ~doc:
           "Credit window for $(b,--backend proc): keep up to $(docv) \
            frames in flight to each worker before waiting for an \
-           acknowledgement (clamped to 1-16; $(docv)=1 is the classic \
-           strict request/response loop; copies with injected faults \
-           always run strictly). Default: derived from the cost model's \
+           acknowledgement (clamped to 1-16; $(docv)=1 is one \
+           request/response round trip per frame; injected faults tick \
+           as acknowledgements settle, so they mean the same at any \
+           depth). Default: derived from the cost model's \
            per-item service time against the assumed worker round trip, \
            honouring the $(b,CGPPC_INFLIGHT) environment variable. The \
            metrics JSON reports the window and the credit-stall seconds \

@@ -123,7 +123,8 @@ type executor = {
   exec_spawn : stage:int -> copy:int -> unit;
       (** Start executing an elastic copy that {!spawn_copy} just
           engaged: the domain backend spawns a domain, the process
-          backend promotes a pre-forked spare worker, the simulator
+          backend starts a driver over the worker it bound at set-up,
+          the simulator
           schedules the copy's first event.  Called after the copy is
           already a routable member of its stage, so the hook must be
           prepared to find items in the copy's queue. *)

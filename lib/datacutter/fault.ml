@@ -243,14 +243,6 @@ let u01 ~seed ~stage ~copy ~call =
   let x = x lxor (x lsr 16) in
   float_of_int (x land 0xFFFFFF) /. 16777216.0
 
-(* No scripted fault can ever fire at this site: [tick] is pure
-   accounting.  Lets fast paths (e.g. wire-frame batching) engage only
-   where they cannot change injected-fault semantics. *)
-let inert st =
-  st.st_cfg.crash_after = None
-  && st.st_cfg.slow = None
-  && st.st_cfg.flaky = None
-
 (* Slowdown factor for the last ticked call (1.0 when unaffected).
    Stochastic slowdowns are uniform on [1, 2*mean - 1], preserving the
    requested mean while staying deterministic per seed. *)

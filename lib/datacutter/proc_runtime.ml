@@ -2,34 +2,37 @@
 
    Same scheduling skeleton as [Par_runtime] — one driver domain per
    copy over [Bqueue]s, protocol decisions from [Engine] — but the
-   filter callbacks of source and inner copies execute in forked child
-   processes, one per copy, connected by Unix-domain socket pairs
-   speaking the [Wire] frame protocol.  Every buffer crossing a copy
-   boundary is genuinely serialized, so the compiler's packing layer is
-   exercised end-to-end, and an injected [crash@N] kills a real OS
-   process which the supervisor observes with [waitpid] and replaces
-   from a pool of pre-forked spares.
+   filter callbacks of source and inner copies execute in worker
+   processes, one per copy, each connected by a [Shm] channel speaking
+   the [Wire] frame protocol.  Every buffer crossing a copy boundary is
+   genuinely serialized, so the compiler's packing layer is exercised
+   end-to-end, and an injected [crash@N] kills a real OS process which
+   the supervisor observes with [waitpid] and replaces.
 
    Division of labour:
    - the parent keeps the whole protocol brain: queues, routing, the
-     EOS drain barrier, fault ticking ([Fault.tick] runs parent-side so
-     injection state survives child replacement), the retry/retire/
-     re-route machine, accounting and the watchdog;
+     EOS drain barrier, fault ticking (parent-side, so injection state
+     survives child replacement), the retry/retire/re-route machine,
+     accounting and the watchdog;
    - a child is a dumb callback executor: read a request frame,
      run [init]/[process]/[on_eos]/[finalize]/[next], write the result
-     back (or [Crashed] if the callback raised), repeat until [Exit] or
-     EOF;
+     back (or [Crashed] if the callback raised), repeat until [Unbind]
+     or EOF;
    - sink copies run their filter in the parent: their closures carry
      the caller's result collectors (e.g. [Filter.collecting_sink]),
      which must mutate parent memory — the paper's "view node" sat on
      the host for the same reason.
 
-   Fork safety: every child is forked *before* any domain is spawned
-   (OCaml 5 forbids forking a multi-domain runtime), which is why each
-   inner copy pre-forks [max_retries] spare workers instead of forking
-   on demand during a restart.  Sources are never restarted (their
-   cursor cannot be rebuilt without duplicating packets), so they get
-   no spares. *)
+   One driver: every remote copy talks to its worker through a credit
+   [window] of pipelined frames settled in FIFO order; the fault tick
+   fires as each item's acknowledgement is settled.  One worker
+   lifecycle: workers come only from a [pool] — forked by
+   [pool_create] before any domain exists (OCaml 5 forbids forking a
+   multi-domain runtime), bound to a role per run, unbound after it.  A
+   restart binds a replacement from the same pool, so the run never
+   forks; a one-shot [run_result] runs on an ephemeral pool sized to
+   the plan.  Sources are never restarted (their cursor cannot be
+   rebuilt without duplicating packets). *)
 
 type msg = It of Engine.item | Release
 
@@ -58,10 +61,6 @@ exception Remote_crash of string
 
 type worker = { pid : int; conn : Shm.conn }
 
-(* Per-copy worker state, touched only by the copy's own driver domain
-   (and by teardown after the joins). *)
-type handle = { mutable active : worker option; mutable spares : worker list }
-
 (* What a pool [Wire.Bind] frame carries: the stage's role closure and
    the copy coordinates, marshalled with [Marshal.Closures].  Legal
    because pool workers are forked from the process that later binds
@@ -80,13 +79,25 @@ type bind_info = {
 
 (* --- the child ------------------------------------------------------- *)
 
+(* One stream item through a filter: its emission, if any. *)
+let step (f : Filter.t) = function
+  | Engine.Data b ->
+      Option.map (fun o -> Engine.Data o) (fst (f.Filter.process b))
+  | Engine.Final b ->
+      Option.map (fun o -> Engine.Final o) (fst (f.Filter.on_eos (Some b)))
+  | Engine.Marker -> None
+
 (* One bound session inside a child: execute callback requests until
-   the channel closes or the parent sends [Exit] ([`Eof] — the child
-   should die) or [Unbind] ([`Unbind] — a pool worker parks for the
-   next plan).  Per-session state (the instance, telemetry counters)
-   lives here so a pooled worker starts every plan fresh. *)
-let serve_session conn ~telem ~tid
-    ~(instantiate : unit -> Engine.instance) : [ `Eof | `Unbind ] =
+   the parent sends [Unbind] (return, to park for the next plan) or the
+   channel closes (exit).  Per-session state (the instance, telemetry
+   counters) lives here so a worker starts every plan fresh. *)
+let serve_session conn (bi : bind_info) =
+  let telem = bi.bi_telem and tid = bi.bi_tid in
+  let instantiate () =
+    match bi.bi_role with
+    | Ship_source mk -> Engine.I_source (mk bi.bi_index)
+    | Ship_filter mk -> Engine.I_filter (mk bi.bi_index)
+  in
   let inst = ref `None in
   (* With pipelined [Next] requests the parent may have several queued
      when the source runs dry; once [next] returned [None] the
@@ -163,46 +174,22 @@ let serve_session conn ~telem ~tid
             inst := `Source s;
             src_done := false;
             Wire.Done)
-    | Wire.Item (Engine.Data b) -> (
+    | Wire.Item it -> (
         match !inst with
-        | `Filter f ->
-            let out, _ = f.Filter.process b in
-            Wire.Out (Option.map (fun b -> Engine.Data b) out)
+        | `Filter f -> Wire.Out (step f it)
         | _ -> Wire.Crashed "worker has no filter instance")
-    | Wire.Item (Engine.Final b) -> (
-        match !inst with
-        | `Filter f ->
-            let out, _ = f.Filter.on_eos (Some b) in
-            Wire.Out (Option.map (fun b -> Engine.Final b) out)
-        | _ -> Wire.Crashed "worker has no filter instance")
-    | Wire.Item Engine.Marker -> Wire.Done
     | Wire.Batch items -> (
         match !inst with
-        | `Filter f ->
+        | `Filter f -> (
             (* One emission slot per processed input.  If the callback
                raises partway, reply with the successful prefix and the
                error — the parent accounts exactly those items before
                running its crash protocol. *)
             let outs = ref [] in
-            let step it =
-              let out =
-                match it with
-                | Engine.Data b ->
-                    Option.map
-                      (fun o -> Engine.Data o)
-                      (fst (f.Filter.process b))
-                | Engine.Final b ->
-                    Option.map
-                      (fun o -> Engine.Final o)
-                      (fst (f.Filter.on_eos (Some b)))
-                | Engine.Marker -> None
-              in
-              outs := out :: !outs
-            in
-            (try
-               List.iter step items;
-               Wire.Outs (List.rev !outs, None)
-             with e -> Wire.Outs (List.rev !outs, Some (Printexc.to_string e)))
+            try
+              List.iter (fun it -> outs := step f it :: !outs) items;
+              Wire.Outs (List.rev !outs, None)
+            with e -> Wire.Outs (List.rev !outs, Some (Printexc.to_string e)))
         | _ -> Wire.Crashed "worker has no filter instance")
     | Wire.Finalize -> (
         match !inst with
@@ -249,13 +236,12 @@ let serve_session conn ~telem ~tid
         (* The parent usually closed its end already; shipping the tail
            is best-effort. *)
         flush_telemetry ~best_effort:true ~force:true ();
-        `Eof
+        Unix._exit 0
     | Some Wire.Unbind ->
         (* Pool release: flush the session's telemetry tail so the
            parent's per-copy rollup is complete, acknowledge, park. *)
         flush_telemetry ~force:true ();
-        (try Shm.send conn Wire.Done with _ -> Unix._exit 1);
-        `Unbind
+        (try Shm.send conn Wire.Done with _ -> Unix._exit 1)
     | Some req ->
         let resp =
           try
@@ -276,43 +262,20 @@ let serve_session conn ~telem ~tid
   in
   loop ()
 
-(* Child main loop of a per-run forked worker: never returns.
-   [Unix._exit] (not [exit]) so the child cannot re-run the parent's
-   [at_exit] hooks or flush inherited channel buffers. *)
-let worker_main eng (cs : Engine.copy) conn : unit =
-  let telem = Obs.Trace.is_enabled () in
-  let tid =
-    Topology.copy_tid (Engine.topology eng) ~stage:cs.Engine.stage
-      ~copy:cs.Engine.index
-  in
-  (match
-     serve_session conn ~telem ~tid ~instantiate:(fun () ->
-         Engine.instantiate eng cs)
-   with
-  | `Eof | `Unbind -> ());
-  Unix._exit 0
-
-(* Child main loop of a persistent pool worker: forked role-less, parks
-   until a [Bind] frame ships it a role closure, serves that plan's
-   session, and parks again on [Unbind] — the same OS process executes
-   any number of plans without re-forking. *)
-let pool_worker_main conn : unit =
+(* Child main loop of a worker: forked role-less, parks until a [Bind]
+   frame ships it a role closure, serves that plan's session, and parks
+   again on [Unbind] — the same OS process executes any number of
+   plans without re-forking.  [Unix._exit] (not [exit]) so the child
+   cannot re-run the parent's [at_exit] hooks or flush inherited
+   channel buffers. *)
+let worker_loop conn =
   let rec park () =
     match (try Shm.recv conn with _ -> None) with
     | None | Some Wire.Exit -> Unix._exit 0
-    | Some (Wire.Bind blob) -> (
-        let bi = (Marshal.from_bytes blob 0 : bind_info) in
-        let instantiate () =
-          match bi.bi_role with
-          | Ship_source mk -> Engine.I_source (mk bi.bi_index)
-          | Ship_filter mk -> Engine.I_filter (mk bi.bi_index)
-        in
+    | Some (Wire.Bind blob) ->
         (try Shm.send conn Wire.Done with _ -> Unix._exit 1);
-        match
-          serve_session conn ~telem:bi.bi_telem ~tid:bi.bi_tid ~instantiate
-        with
-        | `Unbind -> park ()
-        | `Eof -> Unix._exit 0)
+        serve_session conn (Marshal.from_bytes blob 0 : bind_info);
+        park ()
     | Some _ -> Unix._exit 1
   in
   park ()
@@ -360,51 +323,7 @@ let shutdown_worker label (w : worker) =
   in
   reap ()
 
-(* One request/response round trip.  Unsolicited [Telemetry] frames
-   the worker shipped ahead of its response are absorbed (handed to
-   [absorb]) until the real response arrives.  Any transport-level
-   failure — the child died (EOF, EPIPE), sent a malformed frame, or
-   an out-of-protocol response — reaps the worker and surfaces as
-   [Remote_crash] for the supervisor. *)
-let rpc ?(absorb = fun (_ : Wire.telemetry) -> ()) label (h : handle)
-    (req : Wire.msg) : Wire.msg =
-  match h.active with
-  | None -> raise (Remote_crash "worker is dead")
-  | Some w -> (
-      let fail msg =
-        h.active <- None;
-        reap_worker label w;
-        raise (Remote_crash msg)
-      in
-      let rec read_resp () =
-        match Shm.recv w.conn with
-        | Some (Wire.Telemetry t) ->
-            absorb t;
-            read_resp ()
-        | Some (Wire.Crashed msg) -> raise (Remote_crash msg)
-        | Some ((Wire.Out _ | Wire.Outs _ | Wire.Done) as resp) -> resp
-        | Some _ -> fail "out-of-protocol response from worker"
-        | None -> fail "worker exited unexpectedly"
-      in
-      match
-        Shm.send w.conn req;
-        read_resp ()
-      with
-      | resp -> resp
-      | exception Remote_crash msg -> raise (Remote_crash msg)
-      | exception Unix.Unix_error (e, _, _) ->
-          fail ("worker i/o error: " ^ Unix.error_message e)
-      | exception Wire.Protocol_error msg ->
-          fail ("worker protocol error: " ^ msg))
-
 (* --- the credit window ------------------------------------------------ *)
-
-(* One in-flight pipelined frame of a copy's credit window: the items
-   it carried (trimmed from the front as partial batch acks arrive —
-   whatever remains is exactly the unacknowledged suffix a crash must
-   resubmit or re-route) and its send-time byte estimate for the
-   socket-path in-flight budget. *)
-type win_frame = { mutable wf_items : Engine.item list; wf_bytes : int }
 
 let default_inflight = 4
 
@@ -421,10 +340,10 @@ let max_inflight = 16
    progress to collecting responses. *)
 let inflight_byte_budget = 64 * 1024
 
-(* A frame estimated bigger than this is sent strictly (window drained
-   first): one oversized frame can exceed what the socket buffers — or
-   the ring slot — can absorb without write-side blocking, which is
-   only safe when no responses are queued behind it. *)
+(* A frame estimated bigger than this travels alone (see [frame]).
+   One oversized frame can exceed what the socket buffers — or the ring
+   slot — absorb without write-side blocking, which is only safe when
+   no responses are queued behind it. *)
 let big_frame_bytes = 32 * 1024
 
 let resolve_inflight inflight =
@@ -441,14 +360,285 @@ let resolve_inflight inflight =
   in
   max 1 (min max_inflight v)
 
-(* --- the persistent worker pool -------------------------------------- *)
+(* What a window frame asks of the worker: a control request ([Init],
+   [Next], [Finalize], [Src_finalize]), a run of stream items whose
+   outputs are accounted and forwarded, or one retained item replayed
+   into a restarted worker with its output suppressed. *)
+type kind = Control of Wire.msg | Items | Replay
 
-(* A checked-in pool worker: forked role-less, currently parked. *)
-type pool_worker = { pw_pid : int; pw_conn : Shm.conn }
+(* One frame of a copy's credit window.  [items] is trimmed from the
+   front as partial batch acks arrive — whatever remains is exactly
+   the unacknowledged suffix a crash must resubmit or re-route.  [est]
+   is the byte estimate for the in-flight budget, [sent] the send time
+   that starts the frame's FIFO service interval.  A frame that travels
+   [alone] — a barrier-edge request or an oversized frame — is sent
+   only into an empty window, and nothing follows it until it is
+   settled. *)
+type frame = {
+  kind : kind;
+  mutable items : Engine.item list;
+  est : int;
+  alone : bool;
+  mutable sent : float;
+}
+
+(* The window's frame queues: a growable circular buffer.  A popped
+   slot is overwritten with [filler], so a settled frame is garbage at
+   once.  A [Queue]'s dead cells stay linked to their successors: once
+   one is promoted, every frame pushed after it is promoted too, which
+   cost two to three times the parent's promoted words per streambench
+   job. *)
+module Fifo = struct
+  type 'a t = {
+    mutable buf : 'a array;  (* power-of-two length *)
+    mutable head : int;
+    mutable len : int;
+    filler : 'a;
+  }
+
+  let create filler = { buf = Array.make 8 filler; head = 0; len = 0; filler }
+  let length q = q.len
+  let is_empty q = q.len = 0
+  let slot q i = (q.head + i) land (Array.length q.buf - 1)
+  let peek q = q.buf.(q.head)
+  let to_list q = List.init q.len (fun i -> q.buf.(slot q i))
+
+  let push x q =
+    if q.len = Array.length q.buf then begin
+      q.buf <-
+        Array.init (2 * q.len) (fun i ->
+            if i < q.len then q.buf.(slot q i) else q.filler);
+      q.head <- 0
+    end;
+    q.buf.(slot q q.len) <- x;
+    q.len <- q.len + 1
+
+  let pop q =
+    let x = peek q in
+    q.buf.(q.head) <- q.filler;
+    q.head <- slot q 1;
+    q.len <- q.len - 1;
+    x
+end
+
+(* The credit window of one remote copy: the single scheduling state
+   machine of every source and inner worker.  Frames wait in [pending]
+   until a credit frees, ride in [flight] until acknowledged, and are
+   settled strictly in FIFO order.  The window moves frames and
+   responses but never looks inside them: [settle] (the role's
+   accounting of one response against the head frame) and [on_error]
+   (the role's crash protocol — it either raises to give up or leaves
+   the window ready to continue) belong to the copy's role.  Depth 1
+   is one round trip per frame. *)
+type window = {
+  label : string;
+  depth : int;
+  mutable worker : worker option;
+  pending : frame Fifo.t;
+  flight : frame Fifo.t;
+  mutable flight_bytes : int;
+  mutable held : Wire.msg option;  (* a response to settle again *)
+  mutable last_ack : float;
+  mutable stall_s : float;  (* blocked with every credit spent *)
+  absorb : Wire.telemetry -> unit;
+  charge : string -> (unit -> Wire.msg option) -> Wire.msg option;
+  mutable settle : frame -> Wire.msg -> unit;
+  mutable on_error : exn -> unit;
+}
+
+let mk_frame ?(alone = false) kind items =
+  let est = List.fold_left (fun a it -> a + Engine.item_cost it) 32 items in
+  { kind; items; est; alone = alone || est > big_frame_bytes; sent = 0.0 }
+
+let barrier m = mk_frame ~alone:true (Control m) []
+
+let msg_of fr =
+  match (fr.kind, fr.items) with
+  | Control m, _ -> m
+  | (Items | Replay), [ it ] -> Wire.Item it
+  | (Items | Replay), items -> Wire.Batch items
+
+let span_of fr =
+  match fr.kind with
+  | Control Wire.Init -> "init"
+  | Control Wire.Next -> "produce"
+  | Control Wire.Src_finalize -> "src_finalize"
+  | Control _ -> "finalize"
+  | Replay -> "replay"
+  | Items -> (
+      match fr.items with Engine.Final _ :: _ -> "on_eos" | _ -> "process")
+
+let kill win =
+  match win.worker with
+  | None -> ()
+  | Some w ->
+      win.worker <- None;
+      reap_worker ~kill:true win.label w
+
+(* The worker failed at the transport level (EOF, EPIPE, garbage): it
+   is reaped and the failure surfaces as [Remote_crash]. *)
+let lose win msg =
+  kill win;
+  raise (Remote_crash msg)
+
+let conn_of win =
+  match win.worker with
+  | Some w -> w.conn
+  | None -> raise (Remote_crash "worker is dead")
+
+(* The one response reader of the driver: the next frame from the
+   worker, shipped telemetry absorbed on the way; [None] only when
+   [block] is false and nothing is ready. *)
+let recv_resp win ~block =
+  let c = conn_of win in
+  let rec go () =
+    match
+      if block then
+        match Shm.recv c with Some m -> `Msg m | None -> `Eof
+      else Shm.try_recv c
+    with
+    | `Msg (Wire.Telemetry t) ->
+        win.absorb t;
+        go ()
+    | `Msg m -> Some m
+    | `Empty -> None
+    | `Eof -> lose win "worker exited unexpectedly"
+  in
+  try go () with
+  | Unix.Unix_error (e, _, _) ->
+      lose win ("worker i/o error: " ^ Unix.error_message e)
+  | Wire.Protocol_error m -> lose win ("worker protocol error: " ^ m)
+
+let pop_head win =
+  let fr = Fifo.pop win.flight in
+  win.flight_bytes <- win.flight_bytes - fr.est
+
+(* Seconds the worker spent on the head frame, as the parent sees it:
+   ack time minus the later of its send time and the previous ack. *)
+let service win fr =
+  let t = Obs.Clock.elapsed_s () in
+  let d = t -. Float.max fr.sent win.last_ack in
+  win.last_ack <- t;
+  d
+
+(* Send credit: an empty window takes any frame; otherwise a frame
+   needs a free credit, byte headroom, and neither it nor the flight
+   head may travel alone. *)
+let can_send win fr =
+  Fifo.is_empty win.flight
+  || (not (fr.alone || (Fifo.peek win.flight).alone))
+     && Fifo.length win.flight < win.depth
+     && win.flight_bytes <= inflight_byte_budget
+
+(* Send pending frames while credit allows.  A frame joins [flight]
+   before its write, so a failed send leaves it unacknowledged and
+   recovery re-sends it.  On return, [pending] is empty or [flight] is
+   not. *)
+let rec pump win =
+  if (not (Fifo.is_empty win.pending)) && can_send win (Fifo.peek win.pending)
+  then begin
+    let fr = Fifo.pop win.pending in
+    fr.sent <- Obs.Clock.elapsed_s ();
+    Fifo.push fr win.flight;
+    win.flight_bytes <- win.flight_bytes + fr.est;
+    (match Shm.send (conn_of win) (msg_of fr) with
+    | () -> ()
+    | exception Unix.Unix_error (e, _, _) ->
+        kill win;
+        win.on_error (Remote_crash ("worker i/o error: " ^ Unix.error_message e))
+    | exception (Remote_crash _ as err) -> win.on_error err);
+    pump win
+  end
+
+(* Settle the flight head against its response — a held one first,
+   else the next from the worker (when [block], waiting for it as the
+   head's callback).  False when nothing was settled. *)
+let settle_next win ~block =
+  (not (Fifo.is_empty win.flight))
+  &&
+  let fr = Fifo.peek win.flight in
+  match
+    let resp =
+      match win.held with
+      | Some _ as held ->
+          win.held <- None;
+          held
+      | None ->
+          if block then win.charge (span_of fr) (fun () -> recv_resp win ~block)
+          else recv_resp win ~block
+    in
+    match resp with
+    | Some m ->
+        win.settle fr m;
+        true
+    | None -> false
+  with
+  | settled -> settled
+  | exception ((Bqueue.Aborted | Bqueue.Closed) as e) -> raise e
+  | exception err ->
+      win.on_error err;
+      true
+
+(* A blocking settle forced by exhausted credit: the transport's
+   credit-stall time. *)
+let settle_stalled win =
+  let t0 = Obs.Clock.elapsed_s () in
+  ignore (settle_next win ~block:true);
+  win.stall_s <- win.stall_s +. (Obs.Clock.elapsed_s () -. t0)
+
+(* Send everything pending and settle everything in flight. *)
+let rec drain win =
+  pump win;
+  if settle_next win ~block:true then drain win
+
+(* Accept one frame — queued first, so a give-up while the window
+   settles still finds it among the unacknowledged — then settle
+   whatever is already answered and send as credit allows, waiting
+   while none is free. *)
+let submit win fr =
+  Fifo.push fr win.pending;
+  while settle_next win ~block:false do
+    ()
+  done;
+  pump win;
+  while not (Fifo.is_empty win.pending) do
+    settle_stalled win;
+    pump win
+  done
+
+(* A barrier-edge request: it travels alone, so the window drains
+   before it is sent, and is empty again once it is settled. *)
+let round win fr =
+  Fifo.push fr win.pending;
+  drain win
+
+(* Empty the window, returning its frames in order. *)
+let take_frames win =
+  let frames = Fifo.to_list win.flight @ Fifo.to_list win.pending in
+  let rec empty q = if not (Fifo.is_empty q) then (ignore (Fifo.pop q); empty q) in
+  empty win.flight;
+  empty win.pending;
+  win.flight_bytes <- 0;
+  win.held <- None;
+  frames
+
+(* The unacknowledged stream items, in order — the obligations a
+   retiring copy re-routes. *)
+let take_unacked win =
+  List.concat_map
+    (fun fr -> match fr.kind with Items -> fr.items | Control _ | Replay -> [])
+    (take_frames win)
+
+(* --- the persistent worker pool -------------------------------------- *)
 
 type pool = {
   p_mu : Mutex.t;
-  mutable p_free : pool_worker list;
+  p_free : worker Queue.t;
+      (* Parked, role-less workers in release order.  Binding takes the
+         one parked longest, so consecutive runs spread over the pool
+         rather than re-binding the workers the previous run just
+         released: on a 2-core host that reuse cost ~10% more CPU, in
+         the parent and in the workers, per streambench job. *)
   mutable p_closed : bool;
   p_transport : Shm.transport;
   p_size : int;  (* workers forked at creation *)
@@ -473,14 +663,14 @@ let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
       let parent_conn, child_conn = Shm.pair ?slot_bytes transport in
       match Unix.fork () with
       | 0 ->
-          (* Keep only our own channel (see [fork_worker]). *)
+          (* Keep only our own channel: inherited parent-side fds of
+             earlier workers would defeat their EOF detection. *)
           Shm.close parent_conn;
-          List.iter (fun w -> Shm.close w.pw_conn) !spawned;
-          pool_worker_main child_conn;
-          Unix._exit 0
+          List.iter (fun w -> Shm.close w.conn) !spawned;
+          worker_loop child_conn
       | pid ->
           Shm.close child_conn;
-          let w = { pw_pid = pid; pw_conn = parent_conn } in
+          let w = { pid; conn = parent_conn } in
           spawned := w :: !spawned;
           w
     in
@@ -489,30 +679,26 @@ let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
         Ok
           {
             p_mu = Mutex.create ();
-            p_free = ws;
+            p_free = Queue.of_seq (List.to_seq ws);
             p_closed = false;
             p_transport = transport;
             p_size = List.length ws;
           }
-    | exception Failure msg ->
-        (* fork refused (a domain has already been spawned): reclaim
-           whatever we managed to fork and report like a platform
-           without fork. *)
-        List.iter
-          (fun w ->
-            Shm.close w.pw_conn;
-            (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] w.pw_pid)
-            with Unix.Unix_error _ -> ())
-          !spawned;
-        Error (Supervisor.Unsupported msg)
+    | exception e ->
+        (* fork refused (a domain has already been spawned) or no
+           channel could be made: reclaim whatever we managed to fork
+           and report like a platform without fork. *)
+        List.iter (reap_worker ~kill:true "pool") !spawned;
+        Error
+          (Supervisor.Unsupported
+             (match e with Failure m -> m | e -> Printexc.to_string e))
   end
 
 let pool_size p = p.p_size
 
 let pool_free p =
   Mutex.lock p.p_mu;
-  let n = List.length p.p_free in
+  let n = Queue.length p.p_free in
   Mutex.unlock p.p_mu;
   n
 
@@ -520,24 +706,38 @@ let pool_transport p = p.p_transport
 
 let pool_pids p =
   Mutex.lock p.p_mu;
-  let pids = List.map (fun w -> w.pw_pid) p.p_free in
+  let pids = Queue.fold (fun acc w -> w.pid :: acc) [] p.p_free in
   Mutex.unlock p.p_mu;
   List.sort compare pids
 
 let pool_shutdown p =
   Mutex.lock p.p_mu;
-  let ws = p.p_free in
-  p.p_free <- [];
+  let ws = List.of_seq (Queue.to_seq p.p_free) in
+  Queue.clear p.p_free;
   p.p_closed <- true;
   Mutex.unlock p.p_mu;
-  List.iter
-    (fun w -> shutdown_worker "pool" { pid = w.pw_pid; conn = w.pw_conn })
-    ws
+  List.iter (shutdown_worker "pool") ws
+
+(* Send a pool control frame and wait for its [Done] ack, absorbing
+   telemetry shipped ahead of it; false on any failure. *)
+let acked ~absorb (w : worker) msg =
+  try
+    Shm.send w.conn msg;
+    let rec wait () =
+      match Shm.recv w.conn with
+      | Some (Wire.Telemetry t) ->
+          absorb t;
+          wait ()
+      | Some Wire.Done -> true
+      | _ -> false
+    in
+    wait ()
+  with _ -> false
 
 (* Check a worker out and bind it to a role: ship the marshalled
-   [bind_info], wait for the [Done] ack.  A worker that dies at bind
-   time is dropped from the pool and the next free one is tried — only
-   an empty pool fails the run. *)
+   [bind_info], wait for the ack.  A worker that dies at bind time is
+   dropped from the pool and the next free one is tried — only an
+   empty pool fails. *)
 let pool_acquire p ~absorb ~role ~index ~tid ~lbl : worker =
   let blob =
     try
@@ -552,57 +752,67 @@ let pool_acquire p ~absorb ~role ~index ~tid ~lbl : worker =
   in
   let rec try_next () =
     Mutex.lock p.p_mu;
-    let picked =
-      match p.p_free with
-      | [] -> None
-      | w :: rest ->
-          p.p_free <- rest;
-          Some w
-    in
+    let picked = Queue.take_opt p.p_free in
     Mutex.unlock p.p_mu;
     match picked with
     | None -> failwith ("worker pool exhausted binding " ^ lbl)
+    | Some w when acked ~absorb w (Wire.Bind blob) -> w
     | Some w ->
-        let ok =
-          try
-            Shm.send w.pw_conn (Wire.Bind blob);
-            let rec wait () =
-              match Shm.recv w.pw_conn with
-              | Some (Wire.Telemetry t) ->
-                  absorb t;
-                  wait ()
-              | Some Wire.Done -> true
-              | _ -> false
-            in
-            wait ()
-          with _ -> false
-        in
-        if ok then { pid = w.pw_pid; conn = w.pw_conn }
-        else begin
-          Logs.warn (fun m ->
-              m "pool worker pid %d failed to bind %s; dropping it" w.pw_pid
-                lbl);
-          reap_worker ~kill:true lbl { pid = w.pw_pid; conn = w.pw_conn };
-          try_next ()
-        end
+        Logs.warn (fun m ->
+            m "pool worker pid %d failed to bind %s; dropping it" w.pid lbl);
+        reap_worker ~kill:true lbl w;
+        try_next ()
   in
   try_next ()
 
+(* Return a worker the run no longer needs: unbind it (flushing its
+   telemetry tail) and check it back in for the next plan.  A worker
+   that fails the unbind round trip is dropped from the pool. *)
+let pool_release p ~absorb lbl (w : worker) =
+  if acked ~absorb w Wire.Unbind then begin
+    Mutex.lock p.p_mu;
+    if p.p_closed then begin
+      Mutex.unlock p.p_mu;
+      shutdown_worker lbl w
+    end
+    else begin
+      Queue.push w p.p_free;
+      Mutex.unlock p.p_mu
+    end
+  end
+  else begin
+    Logs.warn (fun m ->
+        m "proc worker %s pid %d failed to unbind; dropping it" lbl w.pid);
+    reap_worker ~kill:true lbl w
+  end
+
+(* Pool workers one copy of stage [s] may need: a source copy one (it
+   is never restarted), a non-sink inner copy one plus a replacement
+   for every restart the supervisor may grant, a sink copy none (it
+   runs in the parent). *)
+let workers_per_copy eng s =
+  match (List.nth (Engine.topology eng).Topology.stages s).Topology.role with
+  | Topology.Source _ -> 1
+  | Topology.Inner _ | Topology.Sink _ ->
+      if Engine.is_sink_stage eng s then 0
+      else 1 + (Engine.policy eng).Supervisor.max_retries
+
+(* Workers a plan needs from its pool, dormant elastic slots included. *)
+let required_workers eng =
+  let n = ref 0 in
+  for s = 0 to Engine.n_stages eng - 1 do
+    n := !n + (Engine.slots eng s * workers_per_copy eng s)
+  done;
+  !n
+
 (* --- the run --------------------------------------------------------- *)
 
-let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?transport
-    ?inflight ?frame_bytes ?pool (topo : Topology.t) :
-    (Engine.metrics, Supervisor.run_error) result =
-  if not available then
-    Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
-  else
-  match
-    Engine.create ?faults ?policy ~queue_capacity ?batch ?stage_batch
-      ?mem_budget ?queue_budgets ?autoscale topo
-  with
-  | Error e -> Error e
-  | Ok eng ->
+(* The run-ending error of a sink whose local call gave up, with the
+   item it held — the one obligation it must re-route. *)
+exception Unacked of exn * Engine.item
+
+let run_on pool eng ~queue_capacity ?metrics_interval_s ?inflight
+    (topo : Topology.t) : (Engine.metrics, Supervisor.run_error) result =
   let policy = Engine.policy eng in
   let n_stages = Engine.n_stages eng in
   let stop = Engine.stop_flag eng in
@@ -610,13 +820,14 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   let label s k = Topology.copy_label topo ~stage:s ~copy:k in
   (* Worker-shipped telemetry: spans merge into the process-wide trace
      under the worker's real pid; the latest cumulative counters per
-     pid feed the metrics "workers" section.  [rpc] calls absorb from
-     every driver domain, hence the lock around the counter table. *)
+     pid feed the metrics "workers" section.  Every driver domain
+     absorbs and binds replacement workers, hence the lock. *)
   let telem_lock = Mutex.create () in
   let worker_counters : (int, (string * float) list) Hashtbl.t =
     Hashtbl.create 16
   in
   let pid_copy : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let all_workers : worker list ref = ref [] in
   let absorb (t : Wire.telemetry) =
     Obs.Trace.emit_shipped ~pid:t.Wire.w_pid
       (List.map
@@ -635,46 +846,113 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     Hashtbl.replace worker_counters t.Wire.w_pid t.Wire.w_counters;
     Mutex.unlock telem_lock
   in
-  let rpc lbl h req = rpc ~absorb lbl h req in
-  (* Pool runs inherit the pool's transport (its rings were sized and
-     mapped at creation); plain runs resolve explicit choice / env /
-     platform probe here. *)
-  let transport =
-    match pool with
-    | Some p -> p.p_transport
-    | None -> Shm.resolve transport
-  in
-  (* Credit window size: explicit arg beats the CGPPC_INFLIGHT env var
-     beats the default.  1 = the strict one-round-trip-per-frame
-     driver. *)
+  (* Credit window depth: explicit arg beats the CGPPC_INFLIGHT env var
+     beats the default. *)
   let inflight = resolve_inflight inflight in
-  (* Planner-sized ring slots for the channels this run forks itself
-     (a pool's rings were already mapped at pool creation). *)
-  let slot_bytes =
-    Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
+  (* Check a pool worker out for copy (s, k) — at set-up, and again for
+     every restart. *)
+  let bind s k =
+    let role =
+      match stages.(s).Topology.role with
+      | Topology.Source mk -> Ship_source mk
+      | Topology.Inner mk | Topology.Sink mk -> Ship_filter mk
+    in
+    let w =
+      pool_acquire pool ~absorb ~role ~index:k
+        ~tid:(Topology.copy_tid topo ~stage:s ~copy:k)
+        ~lbl:(label s k)
+    in
+    Mutex.lock telem_lock;
+    all_workers := w :: !all_workers;
+    Hashtbl.replace pid_copy w.pid (s, k);
+    Mutex.unlock telem_lock;
+    if Obs.Trace.is_enabled () then
+      Obs.Trace.name_process ~pid:w.pid
+        (Printf.sprintf "cgpp worker %s" (label s k));
+    w
   in
-  (* Per-copy window-drain hooks (registered by streaming drivers) and
-     credit-stall accounting, reported under metrics "transport".  One
-     writer per cell: the copy's own driver domain. *)
-  let drain_hooks : (unit -> unit) option array array =
+  (* One window per source and non-sink inner slot (sinks run in the
+     parent), dormant elastic slots included: their workers are bound
+     up front, so a mid-run spawn only starts a driver domain. *)
+  let windows : window option array array =
     Array.init n_stages (fun s -> Array.make (Engine.slots eng s) None)
   in
-  let drain_grid ~stage ~copy =
-    match drain_hooks.(stage).(copy) with Some f -> f () | None -> ()
+  let release_all () =
+    Array.iteri
+      (fun s row ->
+        Array.iteri
+          (fun k -> function
+            | Some win ->
+                Option.iter (pool_release pool ~absorb (label s k)) win.worker;
+                win.worker <- None
+            | None -> ())
+          row)
+      windows
   in
-  let stall_s =
-    Array.init n_stages (fun s -> Array.make (Engine.slots eng s) 0.0)
-  in
-  (* A dead child turns writes into EPIPE errors (handled in [rpc])
-     rather than a fatal signal. *)
+  (* A dead child turns writes into EPIPE errors rather than a fatal
+     signal. *)
   let prev_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ | Sys_error _ -> None
   in
-  (* One run-scoped spill dir when the run is budgeted; removed on
-     every exit path.  Queues (and so spilling) live in the parent. *)
-  let budgeted = n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None in
-  let spill_dir = if budgeted then Some (Spill.create_dir ()) else None in
+  let restore_sigpipe () =
+    match prev_sigpipe with
+    | Some b -> (
+        try Sys.set_signal Sys.sigpipe b
+        with Invalid_argument _ | Sys_error _ -> ())
+    | None -> ()
+  in
+  let setup () =
+    (* fail fast with a sized message instead of binding a partial
+       complement *)
+    let required = required_workers eng in
+    Mutex.lock pool.p_mu;
+    let free = Queue.length pool.p_free and closed = pool.p_closed in
+    Mutex.unlock pool.p_mu;
+    if closed then failwith "worker pool is shut down";
+    if free < required then
+      failwith
+        (Printf.sprintf "worker pool too small: plan needs %d workers, %d free"
+           required free);
+    let filler = mk_frame Items [] in
+    for s = 0 to n_stages - 1 do
+      if workers_per_copy eng s > 0 then
+        for k = 0 to Engine.slots eng s - 1 do
+          let cs = Engine.copy_at eng ~stage:s ~copy:k in
+          windows.(s).(k) <-
+            Some
+              {
+                label = label s k;
+                depth = inflight;
+                worker = Some (bind s k);
+                pending = Fifo.create filler;
+                flight = Fifo.create filler;
+                flight_bytes = 0;
+                held = None;
+                last_ack = 0.0;
+                stall_s = 0.0;
+                absorb;
+                charge = (fun name f -> Engine.timed_call eng cs ~name f);
+                settle = (fun _ _ -> ());
+                on_error = raise;
+              }
+        done
+    done;
+    (* One run-scoped spill dir when the run is budgeted, made last so
+       a failed set-up leaves none; removed on every exit path.
+       Queues (and so spilling) live in the parent. *)
+    if n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None then
+      Some (Spill.create_dir ())
+    else None
+  in
+  match setup () with
+  | exception e ->
+      release_all ();
+      restore_sigpipe ();
+      Error
+        (Supervisor.Unsupported
+           (match e with Failure m -> m | e -> Printexc.to_string e))
+  | spill_dir ->
   let queues =
     Array.init n_stages (fun s ->
         if s = 0 then [||]
@@ -733,478 +1011,115 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
       exec_wake = (fun () -> Array.iter (Array.iter Bqueue.wake) queues);
       exec_spawn = (fun ~stage ~copy -> !spawn_hook ~stage ~copy);
       (* a voluntarily retired copy's driver keeps draining its queue
-         and shuts its worker down normally — nothing to do here *)
+         and releases its worker normally — nothing to do here *)
       exec_retire = (fun ~stage:_ ~copy:_ -> ());
-      exec_drain = (fun ~stage ~copy -> drain_grid ~stage ~copy);
+      (* the marker-quota barrier edge settles the copy's window *)
+      exec_drain = (fun ~stage ~copy -> Option.iter drain windows.(stage).(copy));
     };
-  (* Returning a worker when the run no longer needs it: plain runs
-     shut the forked child down; pool runs unbind it (flushing its
-     telemetry tail) and check it back in for the next plan.  A worker
-     that fails the unbind round trip is dropped from the pool. *)
-  let release =
-    match pool with
-    | None -> shutdown_worker
-    | Some p ->
-        fun lbl (w : worker) ->
-          let ok =
-            try
-              Shm.send w.conn Wire.Unbind;
-              let rec wait () =
-                match Shm.recv w.conn with
-                | Some (Wire.Telemetry t) ->
-                    absorb t;
-                    wait ()
-                | Some Wire.Done -> true
-                | _ -> false
-              in
-              wait ()
-            with _ -> false
-          in
-          if ok then begin
-            Mutex.lock p.p_mu;
-            if p.p_closed then begin
-              Mutex.unlock p.p_mu;
-              shutdown_worker lbl w
-            end
-            else begin
-              p.p_free <- { pw_pid = w.pid; pw_conn = w.conn } :: p.p_free;
-              Mutex.unlock p.p_mu
-            end
-          end
-          else begin
-            Logs.warn (fun m ->
-                m "proc worker %s pid %d failed to unbind; dropping it" lbl
-                  w.pid);
-            reap_worker ~kill:true lbl w
-          end
-  in
-  (* Obtain every worker while the runtime is still single-domain: one
-     per source copy, 1 + max_retries per non-sink filter copy (the
-     spares stand in for fork-on-restart), none for sink copies (their
-     filters run in the parent).  Dormant elastic slots get their full
-     worker complement up front too — forking after a domain exists is
-     impossible in OCaml 5, so a mid-run spawn can only promote
-     pre-obtained processes.  Plain runs fork each worker over a fresh
-     [Shm.pair]; pool runs check parked workers out and bind them. *)
-  let all_workers : worker list ref = ref [] in
-  let fork_worker cs =
-    let parent_conn, child_conn = Shm.pair ?slot_bytes transport in
-    match Unix.fork () with
-    | 0 ->
-        (* Keep only our own channel: inherited parent-side fds of
-           earlier workers would defeat their EOF detection. *)
-        Shm.close parent_conn;
-        List.iter (fun w -> Shm.close w.conn) !all_workers;
-        worker_main eng cs child_conn;
-        Unix._exit 0
-    | pid ->
-        Shm.close child_conn;
-        { pid; conn = parent_conn }
-  in
-  let obtain cs =
-    let s = cs.Engine.stage and k = cs.Engine.index in
-    let w =
-      match pool with
-      | None -> fork_worker cs
-      | Some p ->
-          let role =
-            match stages.(s).Topology.role with
-            | Topology.Source mk -> Ship_source mk
-            | Topology.Inner mk | Topology.Sink mk -> Ship_filter mk
-          in
-          pool_acquire p ~absorb ~role ~index:k
-            ~tid:(Topology.copy_tid topo ~stage:s ~copy:k)
-            ~lbl:(label s k)
-    in
-    all_workers := w :: !all_workers;
-    Hashtbl.replace pid_copy w.pid (s, k);
-    if Obs.Trace.is_enabled () then
-      Obs.Trace.name_process ~pid:w.pid
-        (Printf.sprintf "cgpp worker %s" (label s k));
-    w
-  in
-  let handles_or_err =
-    try
-      (* In pool mode, fail fast with a sized message instead of
-         binding a partial complement. *)
-      (match pool with
-      | Some p ->
-          let required = ref 0 in
-          for s = 0 to n_stages - 1 do
-            match stages.(s).Topology.role with
-            | Topology.Source _ -> required := !required + Engine.slots eng s
-            | Topology.Inner _ | Topology.Sink _ ->
-                if not (Engine.is_sink_stage eng s) then
-                  required :=
-                    !required
-                    + (Engine.slots eng s * (1 + policy.Supervisor.max_retries))
-          done;
-          Mutex.lock p.p_mu;
-          let free = List.length p.p_free and closed = p.p_closed in
-          Mutex.unlock p.p_mu;
-          if closed then failwith "worker pool is shut down";
-          if free < !required then
-            failwith
-              (Printf.sprintf
-                 "worker pool too small: plan needs %d workers, %d free"
-                 !required free)
-      | None -> ());
-      Ok
-        (Array.init n_stages (fun s ->
-             Array.init (Engine.slots eng s) (fun k ->
-                 let cs = Engine.copy_at eng ~stage:s ~copy:k in
-                 match stages.(s).Topology.role with
-                 | Topology.Source _ ->
-                     Some { active = Some (obtain cs); spares = [] }
-                 | Topology.Inner _ | Topology.Sink _ ->
-                     if Engine.is_sink_stage eng s then None
-                     else
-                       Some
-                         {
-                           active = Some (obtain cs);
-                           spares =
-                             List.init policy.Supervisor.max_retries (fun _ ->
-                                 obtain cs);
-                         })))
-    with Failure msg ->
-      (* OCaml 5 permanently refuses [Unix.fork] once any domain has
-         ever been spawned in this process — report it like a platform
-         without fork instead of crashing, after reclaiming whatever we
-         managed to obtain (pool workers go back to the pool). *)
-      List.iter (fun w -> release "aborted-setup" w) !all_workers;
-      Error msg
-  in
-  match handles_or_err with
-  | Error msg ->
-      (match prev_sigpipe with
-      | Some b -> (
-          try Sys.set_signal Sys.sigpipe b
-          with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ());
-      Error (Supervisor.Unsupported msg)
-  | Ok handles ->
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
 
-  (* Kill the current worker (real SIGKILL + waitpid) — the injected
-     or real crash this copy just took becomes a dead OS process. *)
-  let kill_active lbl (h : handle) =
-    match h.active with
-    | None -> ()
-    | Some w ->
-        h.active <- None;
-        reap_worker ~kill:true lbl w
-  in
-  let activate_spare lbl (h : handle) =
-    match h.spares with
-    | [] -> raise (Remote_crash (lbl ^ ": no spare worker left"))
-    | w :: rest ->
-        h.spares <- rest;
-        h.active <- Some w
-  in
-
   let copy_body s k () =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
-    let lbl = label s k in
     let charge name f = Engine.timed_call eng cs ~name f in
     let send it = ok (Engine.send_downstream eng cs it) in
-    let with_slowdown f =
-      let t0 = Obs.Clock.elapsed_s () in
-      let r = f () in
-      let elapsed = Obs.Clock.elapsed_s () -. t0 in
-      let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
-      if extra > 0.0 then Unix.sleepf extra;
-      r
+    (* One accounted attempt at a stream item — the only fault tick of
+       this backend, in ack order: sinks run it around their local
+       call, remote copies when the worker's response is settled.
+       Returns the scripted slowdown over the call's [elapsed]
+       seconds. *)
+    let attempt ~elapsed =
+      Fault.tick cs.Engine.fstate;
+      Fault.extra_delay cs.Engine.fstate ~elapsed:(elapsed ())
     in
-    (* Identical supervision skeleton to [Par_runtime], with [on_fail]
-       run before the crash decision (the remote driver kills the
-       worker there) and [restart] rebuilding state before a retry. *)
-    let supervised ?(on_fail = fun () -> ()) ?(restart = fun () -> ()) name op
-        =
-      let rec go restarting =
-        if Engine.aborting eng then raise Bqueue.Aborted;
-        match
-          if restarting then restart ();
-          charge name op
-        with
-        | r -> r
-        | exception Bqueue.Aborted -> raise Bqueue.Aborted
-        | exception e -> (
-            on_fail ();
-            match Engine.on_crash eng cs with
-            | `Give_up -> raise e
-            | `Retry delay ->
-                if delay > 0.0 then Unix.sleepf delay;
-                go true)
-      in
-      go false
+    let slow_down name extra =
+      if extra > 0.0 then charge name (fun () -> Unix.sleepf extra)
     in
     match stages.(s).Topology.role with
     | Topology.Source _ ->
-        (* Sources are never rebuilt: transient faults retry in place on
-           the same child; only an actual child death (EOF) makes every
-           retry fail and retires the source, truncating its stream. *)
-        let h = Option.get handles.(s).(k) in
-        (match rpc lbl h Wire.Init with
-        | Wire.Done -> ()
-        | _ -> raise (Remote_crash "bad init response"));
-        let next () =
-          match rpc lbl h Wire.Next with
-          | Wire.Out (Some (Engine.Data b)) -> Some b
-          | Wire.Done -> None
-          | _ -> raise (Remote_crash "bad next response")
+        (* Up to [inflight] pipelined [Next] requests ride against the
+           worker, which answers in order — Data frames, then Done (the
+           child's src_done guard answers queued leftovers with Done
+           without touching the exhausted source).  Sources are never
+           rebuilt: their cursor lives in the worker, so a failed
+           attempt is retried in place — a failed tick re-settles the
+           same response, a crashed callback is answered by the next
+           request.  Only a dead worker makes every retry fail. *)
+        let win = Option.get windows.(s).(k) in
+        let finished = ref false in
+        let produced fr resp =
+          match attempt ~elapsed:(fun () -> service win fr) with
+          | extra -> slow_down "produce" extra
+          | exception e ->
+              win.held <- Some resp;
+              raise e
         in
-        let src_finalize () =
-          match rpc lbl h Wire.Src_finalize with
-          | Wire.Out out -> (
-              match out with
-              | Some (Engine.Final b) | Some (Engine.Data b) -> Some b
-              | _ -> None)
-          | Wire.Done -> None
-          | _ -> raise (Remote_crash "bad src_finalize response")
-        in
-        let finish () =
-          let out = supervised "src_finalize" src_finalize in
-          (match out with Some b -> send (Engine.Final b) | None -> ());
-          send Engine.Marker
-        in
-        let retire_src err =
-          match Engine.retire eng cs ~error:err with
-          | `Fatal e -> abort_raise e
-          | `Continue -> send Engine.Marker
-        in
-        if Fault.inert cs.Engine.fstate then begin
-          (* Streaming produce: a window of up to [inflight] pipelined
-             [Next] requests rides against the worker, which answers in
-             order — Data frames, then Done (the child's src_done guard
-             answers any queued leftovers with Done without touching the
-             exhausted source).  The parent forwards items downstream
-             while the child produces the next ones, so throughput is no
-             longer bound by the per-item round trip. *)
-          let outstanding = ref 0 in
-          let finished = ref false in
-          let fail_dead msg =
-            (match h.active with
-            | Some w ->
-                h.active <- None;
-                reap_worker lbl w
-            | None -> ());
-            raise (Remote_crash msg)
-          in
-          let prime () =
-            match h.active with
-            | None -> raise (Remote_crash "worker is dead")
-            | Some w -> (
-                match Shm.send w.conn Wire.Next with
-                | () -> incr outstanding
-                | exception Unix.Unix_error (e, _, _) ->
-                    fail_dead ("worker i/o error: " ^ Unix.error_message e))
-          in
-          let collect () =
-            charge "produce" (fun () ->
-                match h.active with
-                | None -> raise (Remote_crash "worker is dead")
-                | Some w -> (
-                    let rec rd () =
-                      match Shm.recv w.conn with
-                      | Some (Wire.Telemetry t) ->
-                          absorb t;
-                          rd ()
-                      | Some (Wire.Out (Some (Engine.Data b))) ->
-                          decr outstanding;
-                          `Data b
-                      | Some Wire.Done ->
-                          decr outstanding;
-                          `Done
-                      | Some (Wire.Crashed msg) ->
-                          decr outstanding;
-                          raise (Remote_crash msg)
-                      | Some _ -> fail_dead "bad next response"
-                      | None -> fail_dead "worker exited unexpectedly"
-                    in
-                    try rd () with
-                    | Unix.Unix_error (e, _, _) ->
-                        fail_dead ("worker i/o error: " ^ Unix.error_message e)
-                    | Wire.Protocol_error m ->
-                        fail_dead ("worker protocol error: " ^ m)))
-          in
-          (* Credit-stall accounting: time blocked waiting for a
-             response while every credit is spent. *)
-          let timed_collect () =
-            if !outstanding >= inflight then begin
-              let t0 = Obs.Clock.elapsed_s () in
-              let note () =
-                stall_s.(s).(k) <-
-                  stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0)
-              in
-              match collect () with
-              | r ->
-                  note ();
-                  r
-              | exception e ->
-                  note ();
-                  raise e
-            end
-            else collect ()
-          in
-          (* Best-effort settle of what the worker already produced, so
-             giving up truncates the stream after the last delivered
-             item just like the strict driver. *)
-          let drain_best_effort () =
-            try
-              while !outstanding > 0 do
-                match collect () with
-                | `Data b ->
-                    Engine.note_item_done eng cs;
-                    send (Engine.Data b)
-                | `Done -> finished := true
-              done
-            with
-            | Bqueue.Aborted -> raise Bqueue.Aborted
-            | _ -> ()
-          in
-          let rec stream () =
+        win.settle <-
+          (fun fr resp ->
+            match (fr.kind, resp) with
+            | Control Wire.Init, Wire.Done -> pop_head win
+            | Control Wire.Next, Wire.Out (Some (Engine.Data b)) ->
+                produced fr resp;
+                pop_head win;
+                Engine.note_item_done eng cs;
+                send (Engine.Data b)
+            | Control Wire.Next, Wire.Done ->
+                if not !finished then begin
+                  produced fr resp;
+                  finished := true
+                end;
+                pop_head win
+            | Control Wire.Next, Wire.Crashed msg ->
+                produced fr resp;
+                pop_head win;
+                raise (Remote_crash msg)
+            | Control Wire.Src_finalize, Wire.Out out ->
+                pop_head win;
+                Option.iter send out
+            | Control _, Wire.Crashed msg ->
+                (* a failed Init/Src_finalize is asked again *)
+                pop_head win;
+                Fifo.push fr win.pending;
+                raise (Remote_crash msg)
+            | _ -> lose win "out-of-protocol response from worker");
+        win.on_error <-
+          (fun err ->
             if Engine.aborting eng then raise Bqueue.Aborted;
-            match
-              while (not !finished) && !outstanding < inflight do
-                prime ()
-              done;
-              if !outstanding > 0 then Some (timed_collect ()) else None
-            with
-            | None -> ()
-            | Some (`Data b) ->
-                Engine.note_item_done eng cs;
-                send (Engine.Data b);
-                stream ()
-            | Some `Done ->
-                finished := true;
-                stream ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception err -> (
-                match Engine.on_crash eng cs with
-                | `Retry delay ->
-                    if delay > 0.0 then Unix.sleepf delay;
-                    stream ()
-                | `Give_up ->
-                    drain_best_effort ();
-                    raise err)
-          in
-          match stream () with
-          | () -> finish ()
-          | exception Bqueue.Aborted -> raise Bqueue.Aborted
-          | exception err -> retire_src err
-        end
-        else begin
-          (* Fault-injected sources keep the strict one-at-a-time
-             driver: parent-side fault ticks fire at exactly the same
-             protocol points as before pipelining existed, so scripted
-             crash timing is unchanged. *)
-          let rec loop () =
-            match
-              supervised "produce" (fun () ->
-                  with_slowdown (fun () ->
-                      Fault.tick cs.Engine.fstate;
-                      next ()))
-            with
-            | Some b ->
-                Engine.note_item_done eng cs;
-                send (Engine.Data b);
-                loop ()
-            | None -> finish ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception err -> retire_src err
-          in
-          loop ()
-        end
+            match Engine.on_crash eng cs with
+            | `Retry delay -> if delay > 0.0 then Unix.sleepf delay
+            | `Give_up -> raise err);
+        let rec stream () =
+          if Engine.aborting eng then raise Bqueue.Aborted;
+          if not !finished then begin
+            while Fifo.length win.flight + Fifo.length win.pending < inflight do
+              Fifo.push (mk_frame (Control Wire.Next) []) win.pending
+            done;
+            pump win
+          end;
+          if Fifo.length win.flight >= inflight then begin
+            settle_stalled win;
+            stream ()
+          end
+          else if settle_next win ~block:true then stream ()
+        in
+        (match
+           round win (barrier Wire.Init);
+           stream ();
+           round win (barrier Wire.Src_finalize)
+         with
+        | () -> send Engine.Marker
+        | exception Bqueue.Aborted -> raise Bqueue.Aborted
+        | exception err -> (
+            (* The stream truncates at the failed item: nothing still in
+               flight is forwarded, and the worker goes with it. *)
+            kill win;
+            match Engine.retire eng cs ~error:err with
+            | `Fatal e -> abort_raise e
+            | `Continue -> send Engine.Marker))
     | Topology.Inner _ | Topology.Sink _ ->
         let is_last = Engine.is_sink_stage eng s in
-        (* The callback set, local (sink, parent memory) or remote.
-           [call_batch] processes a whole item run and returns the
-           per-item emission slots plus the error if it failed partway
-           (the slots then cover exactly the successful prefix). *)
-        let fresh, call_init, call_process, call_eos, call_finalize,
-            call_batch, on_fail =
-          if is_last then begin
-            let f =
-              ref
-                (match Engine.instantiate eng cs with
-                | Engine.I_filter f -> f
-                | Engine.I_source _ -> assert false)
-            in
-            ( (fun () ->
-                f :=
-                  (match Engine.instantiate eng cs with
-                  | Engine.I_filter f -> f
-                  | Engine.I_source _ -> assert false)),
-              (fun () -> ignore ((!f).Filter.init ())),
-              (fun b -> fst ((!f).Filter.process b)),
-              (fun b -> fst ((!f).Filter.on_eos (Some b))),
-              (fun () -> fst ((!f).Filter.finalize ())),
-              (fun items ->
-                ( List.map
-                    (fun it ->
-                      match it with
-                      | Engine.Data b ->
-                          Option.map
-                            (fun o -> Engine.Data o)
-                            (fst ((!f).Filter.process b))
-                      | Engine.Final b ->
-                          Option.map
-                            (fun o -> Engine.Final o)
-                            (fst ((!f).Filter.on_eos (Some b)))
-                      | Engine.Marker -> None)
-                    items,
-                  None )),
-              fun () -> () )
-          end
-          else begin
-            let h = Option.get handles.(s).(k) in
-            let data_out = function
-              | Wire.Out (Some (Engine.Data b)) | Wire.Out (Some (Engine.Final b))
-                ->
-                  Some b
-              | Wire.Out None | Wire.Done -> None
-              | _ -> raise (Remote_crash "bad callback response")
-            in
-            ( (fun () -> activate_spare lbl h),
-              (fun () ->
-                match rpc lbl h Wire.Init with
-                | Wire.Done -> ()
-                | _ -> raise (Remote_crash "bad init response")),
-              (fun b -> data_out (rpc lbl h (Wire.Item (Engine.Data b)))),
-              (fun b -> data_out (rpc lbl h (Wire.Item (Engine.Final b)))),
-              (fun () -> data_out (rpc lbl h Wire.Finalize)),
-              (fun items ->
-                match rpc lbl h (Wire.Batch items) with
-                | Wire.Outs (outs, err) -> (outs, err)
-                | _ -> raise (Remote_crash "bad batch response")),
-              fun () -> kill_active lbl h )
-          end
-        in
-        let q = queues.(s).(k) in
         let ring = Engine.Ring.create ~retention:policy.Supervisor.retention in
-        (* Restart: a fresh executor (spare worker / fresh instance),
-           init, then replay the retention ring with outputs suppressed. *)
-        let restart_and_replay () =
-          fresh ();
-          ignore (charge "init" call_init);
-          if Engine.Ring.truncated ring then
-            Engine.bump eng (fun r ->
-                r.Supervisor.replay_truncated <- r.replay_truncated + 1);
-          List.iter
-            (fun it ->
-              Engine.bump eng (fun r ->
-                  r.Supervisor.replayed <- r.replayed + 1);
-              match it with
-              | Engine.Data b -> ignore (charge "replay" (fun () -> call_process b))
-              | Engine.Final b ->
-                  ignore (charge "replay_eos" (fun () -> call_eos b))
-              | Engine.Marker -> ())
-            (Engine.Ring.items ring)
-        in
-        let supervised name op =
-          supervised ~on_fail ~restart:restart_and_replay name op
-        in
+        let q = queues.(s).(k) in
         (* Batched receive: drain up to the upstream's batch cap in one
            queue round-trip into a local pending buffer.  At cap 1 this
            is exactly the old single-item [pop]. *)
@@ -1230,6 +1145,173 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
                 m
           end
         in
+        let replay_ring call =
+          if Engine.Ring.truncated ring then
+            Engine.bump eng (fun r ->
+                r.Supervisor.replay_truncated <- r.replay_truncated + 1);
+          List.iter
+            (fun it ->
+              Engine.bump eng (fun r -> r.Supervisor.replayed <- r.replayed + 1);
+              call it)
+            (Engine.Ring.items ring)
+        in
+        (* The role's callbacks: [init], one data item (a remote copy
+           takes the whole run of consecutive data items [pend] holds
+           into one frame), one EOS payload, [finalize], and the
+           unacknowledged items to re-route on retirement. *)
+        let init, on_data, on_final, finalize, unacked =
+          if is_last then begin
+            (* A sink runs its filter here, in the parent, under the
+               same supervision skeleton as [Par_runtime]: tick, call,
+               and on a crash a fresh instance with the retention ring
+               replayed (outputs suppressed). *)
+            let instance () =
+              match Engine.instantiate eng cs with
+              | Engine.I_filter f -> f
+              | Engine.I_source _ -> assert false
+            in
+            let f = ref (instance ()) in
+            let rec supervised ?(restarting = false) name op =
+              if Engine.aborting eng then raise Bqueue.Aborted;
+              match
+                if restarting then begin
+                  f := instance ();
+                  ignore (charge "init" (fun () -> (!f).Filter.init ()));
+                  replay_ring (fun it ->
+                      let name =
+                        match it with Engine.Final _ -> "replay_eos" | _ -> "replay"
+                      in
+                      ignore (charge name (fun () -> step !f it)))
+                end;
+                charge name op
+              with
+              | r -> r
+              | exception Bqueue.Aborted -> raise Bqueue.Aborted
+              | exception e -> (
+                  match Engine.on_crash eng cs with
+                  | `Give_up -> raise e
+                  | `Retry delay ->
+                      if delay > 0.0 then Unix.sleepf delay;
+                      supervised ~restarting:true name op)
+            in
+            let holding it name op =
+              match supervised name op with
+              | () -> Engine.Ring.push ring it
+              | exception Bqueue.Aborted -> raise Bqueue.Aborted
+              | exception e -> raise (Unacked (e, it))
+            in
+            ( (fun () -> ignore (supervised "init" (fun () -> (!f).Filter.init ()))),
+              (fun b ->
+                holding (Engine.Data b) "process" (fun () ->
+                    let extra =
+                      attempt ~elapsed:(fun () ->
+                          let t0 = Obs.Clock.elapsed_s () in
+                          ignore ((!f).Filter.process b);
+                          Obs.Clock.elapsed_s () -. t0)
+                    in
+                    if extra > 0.0 then Unix.sleepf extra);
+                Engine.note_item_done eng cs),
+              (fun b ->
+                holding (Engine.Final b) "on_eos" (fun () ->
+                    ignore ((!f).Filter.on_eos (Some b)))),
+              (fun () ->
+                ignore (supervised "finalize" (fun () -> (!f).Filter.finalize ()))),
+              fun () -> [] )
+          end
+          else begin
+            let win = Option.get windows.(s).(k) in
+            let ack fr out =
+              match fr.items with
+              | [] -> raise (Remote_crash "worker acknowledged more items than sent")
+              | it :: rest ->
+                  (match it with
+                  | Engine.Data _ ->
+                      slow_down "process"
+                        (attempt ~elapsed:(fun () -> service win fr));
+                      Engine.note_item_done eng cs
+                  | Engine.Final _ | Engine.Marker -> ());
+                  Option.iter send out;
+                  Engine.Ring.push ring it;
+                  fr.items <- rest
+            in
+            (* the head item's attempt failed in the worker *)
+            let failed fr msg =
+              (match fr.items with
+              | Engine.Data _ :: _ -> ignore (attempt ~elapsed:(fun () -> 0.0))
+              | _ -> ());
+              raise (Remote_crash msg)
+            in
+            win.settle <-
+              (fun fr resp ->
+                match (fr.kind, resp) with
+                | Control Wire.Init, Wire.Done | Replay, Wire.Out _ -> pop_head win
+                | Control Wire.Finalize, Wire.Out out ->
+                    pop_head win;
+                    Option.iter send out
+                | Items, Wire.Out out -> (
+                    ack fr out;
+                    match fr.items with
+                    | [] -> pop_head win
+                    | _ -> raise (Remote_crash "single ack for a batch frame"))
+                | Items, Wire.Outs (outs, err) -> (
+                    List.iter (ack fr) outs;
+                    Option.iter (failed fr) err;
+                    match fr.items with
+                    | [] -> pop_head win
+                    | _ ->
+                        raise
+                          (Remote_crash "worker acknowledged fewer items than sent"))
+                | Items, Wire.Crashed msg -> failed fr msg
+                | _, Wire.Crashed msg -> raise (Remote_crash msg)
+                | _ -> lose win "out-of-protocol response from worker");
+            (* Crash recovery: kill the worker (real SIGKILL + waitpid),
+               then either give up — the window keeps its unacknowledged
+               items for the re-route — or restart onto a replacement
+               from the pool: Init, the retention ring replayed with
+               outputs suppressed, then every unacknowledged frame in
+               order.  Those frames tick again when they settle, so a
+               fault plan counts the same attempts at any depth. *)
+            let rec recover err =
+              if Engine.aborting eng then raise Bqueue.Aborted;
+              kill win;
+              match Engine.on_crash eng cs with
+              | `Give_up -> raise err
+              | `Retry delay -> (
+                  if delay > 0.0 then Unix.sleepf delay;
+                  match bind s k with
+                  | exception (Failure m) -> recover (Remote_crash m)
+                  | w ->
+                      win.worker <- Some w;
+                      let resend =
+                        List.filter
+                          (fun fr ->
+                            match fr.kind with
+                            | Items -> fr.items <> []
+                            | Control Wire.Init | Replay -> false
+                            | Control _ -> true)
+                          (take_frames win)
+                      in
+                      Fifo.push (barrier Wire.Init) win.pending;
+                      replay_ring (fun it ->
+                          Fifo.push (mk_frame Replay [ it ]) win.pending);
+                      List.iter (fun fr -> Fifo.push fr win.pending) resend)
+            in
+            win.on_error <- recover;
+            (* a run of consecutive data items already popped *)
+            let rec data_run acc =
+              match Queue.peek_opt pend with
+              | Some (It (Engine.Data b)) ->
+                  ignore (Queue.pop pend);
+                  data_run (Engine.Data b :: acc)
+              | _ -> List.rev acc
+            in
+            ( (fun () -> round win (barrier Wire.Init)),
+              (fun b -> submit win (mk_frame Items (data_run [ Engine.Data b ]))),
+              (fun b -> round win (mk_frame ~alone:true Items [ Engine.Final b ])),
+              (fun () -> round win (barrier Wire.Finalize)),
+              fun () -> take_unacked win )
+          end
+        in
         let count_eos () =
           match Engine.count_eos eng cs with
           | `Already | `Counted -> ()
@@ -1240,34 +1322,22 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
                 ignore (Bqueue.push queues.(s).(j) Release)
               done
         in
-        (* Unacknowledged remainder of an in-flight wire batch, for the
-           retirement re-route (the acknowledged prefix was already
-           accounted and forwarded). *)
-        let current_batch = ref [] in
-        let retire err in_flight =
+        (* Retirement: re-route every obligation — the unacknowledged
+           items, then whatever sits in the local batch buffer — and
+           turn zombie router until the stage drain barrier releases. *)
+        let retire err items =
           (match Engine.retire eng cs ~error:err with
           | `Fatal e -> abort_raise e
           | `Continue -> ());
-          (match in_flight with
-          | Some (It ((Engine.Data _ | Engine.Final _) as it)) ->
-              ok (Engine.reroute eng cs it)
-          | Some (It Engine.Marker) | Some Release | None -> ());
-          List.iter
-            (fun it ->
-              match it with
-              | (Engine.Data _ | Engine.Final _) as it ->
-                  ok (Engine.reroute eng cs it)
-              | Engine.Marker -> ())
-            !current_batch;
-          current_batch := [];
-          (* Items already popped into the local batch buffer are this
-             copy's obligations too: re-route them before going zombie. *)
+          let reroute = function
+            | (Engine.Data _ | Engine.Final _) as it -> ok (Engine.reroute eng cs it)
+            | Engine.Marker -> ()
+          in
+          List.iter reroute items;
           Queue.iter
-            (fun m ->
-              match m with
-              | It ((Engine.Data _ | Engine.Final _) as it) ->
-                  ok (Engine.reroute eng cs it)
+            (function
               | It Engine.Marker -> Engine.note_marker eng cs
+              | It it -> reroute it
               | Release -> ())
             pend;
           Queue.clear pend;
@@ -1279,10 +1349,10 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
             then begin
               let rec sweep () =
                 match Bqueue.try_pop q with
-                | Some (It ((Engine.Data _ | Engine.Final _) as it)) ->
-                    ok (Engine.reroute eng cs it);
+                | Some (It it) ->
+                    reroute it;
                     sweep ()
-                | Some (It Engine.Marker) | Some Release -> sweep ()
+                | Some Release -> sweep ()
                 | None -> ()
               in
               sweep ();
@@ -1291,357 +1361,38 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
             else
               match recv () with
               | It Engine.Marker -> Engine.note_marker eng cs; zombie ()
-              | It ((Engine.Data _ | Engine.Final _) as it) ->
-                  ok (Engine.reroute eng cs it);
+              | It it ->
+                  reroute it;
                   zombie ()
               | Release -> zombie ()
           in
           zombie ()
         in
-        let current = ref None in
-        let forward it = if not is_last then send it in
-        let handle_data b =
-          let out =
-            supervised "process" (fun () ->
-                with_slowdown (fun () ->
-                    Fault.tick cs.Engine.fstate;
-                    call_process b))
-          in
-          Engine.note_item_done eng cs;
-          current := None;
-          (match out with Some b -> forward (Engine.Data b) | None -> ());
-          Engine.Ring.push ring (Engine.Data b)
-        in
-        (* Wire-frame batching: a run of consecutive [Data] items goes
-           to the worker as ONE [Batch] frame instead of N [Item] round
-           trips.  Gated on fault-inert copies — injected faults tick
-           parent-side per item, so batching there would change when a
-           scripted crash fires relative to B=1.  Partial success is
-           accounted INSIDE the supervised op: the worker's reply names
-           the acknowledged prefix, which is forwarded, ring-retained
-           and dropped from [remaining] before the crash protocol runs —
-           a retry replays the ring and resumes from the suffix, so no
-           item is processed twice or lost. *)
-        let wire_batch =
-          in_cap > 1 && (not is_last) && Fault.inert cs.Engine.fstate
-        in
-        let data_run () =
-          if not wire_batch then []
-          else begin
-            let rec grab acc =
-              match Queue.peek_opt pend with
-              | Some (It (Engine.Data b')) ->
-                  ignore (Queue.pop pend);
-                  grab (b' :: acc)
-              | _ -> List.rev acc
-            in
-            grab []
-          end
-        in
-        let handle_data_batch bs =
-          let items = List.map (fun b -> Engine.Data b) bs in
-          current_batch := items;
-          let remaining = ref items in
-          let step () =
-            supervised "process_batch" (fun () ->
-                with_slowdown (fun () ->
-                    let chunk = !remaining in
-                    List.iter
-                      (fun _ -> Fault.tick cs.Engine.fstate)
-                      chunk;
-                    let outs, err = call_batch chunk in
-                    List.iter
-                      (fun out ->
-                        match !remaining with
-                        | [] ->
-                            raise
-                              (Remote_crash
-                                 "worker acknowledged more items than sent")
-                        | it :: rest ->
-                            Engine.note_item_done eng cs;
-                            (match out with
-                            | Some o -> forward o
-                            | None -> ());
-                            Engine.Ring.push ring it;
-                            remaining := rest;
-                            current_batch := rest)
-                      outs;
-                    match err with
-                    | Some msg -> raise (Remote_crash msg)
-                    | None -> ()))
-          in
-          while !remaining <> [] do
-            step ()
-          done;
-          current_batch := []
-        in
-        (* --- credit window -------------------------------------------
-           For fault-inert remote copies, up to [inflight] Data frames
-           ride to the worker before the first acknowledgement comes
-           back.  The worker answers in FIFO order, so settling the
-           window head against each response preserves exactly the
-           strict driver's accounting: ack → note_item_done, forward
-           the output, push the input onto the retention ring.  The
-           window is drained empty before any strict round trip (Final,
-           Finalize) and at the marker-quota barrier edge (the engine's
-           [exec_drain] hook), so barrier semantics are unchanged.
-           Crash recovery mirrors [supervised]: unacknowledged frames
-           stay queued here, a restart replays the ring (acked prefix)
-           and then re-sends the queued frames verbatim; on give-up the
-           flattened window joins [current_batch] for the retirement
-           re-route.  Injected-fault copies keep the strict path so
-           scripted crash timing is byte-for-byte reproducible. *)
-        let use_window = (not is_last) && Fault.inert cs.Engine.fstate in
-        let win : win_frame Queue.t = Queue.create () in
-        let win_bytes = ref 0 in
-        let take_unacked () =
-          let items =
-            List.concat_map
-              (fun fr -> fr.wf_items)
-              (List.of_seq (Queue.to_seq win))
-          in
-          Queue.clear win;
-          win_bytes := 0;
-          items
-        in
-        let raw_send msg =
-          let h = Option.get handles.(s).(k) in
-          match h.active with
-          | None -> raise (Remote_crash "worker is dead")
-          | Some w -> (
-              try Shm.send w.conn msg
-              with Unix.Unix_error (e, _, _) ->
-                raise
-                  (Remote_crash ("worker i/o error: " ^ Unix.error_message e)))
-        in
-        let frame_msg fr =
-          match fr.wf_items with
-          | [ it ] -> Wire.Item it
-          | items -> Wire.Batch items
-        in
-        let resubmit () =
-          Queue.iter
-            (fun fr -> if fr.wf_items <> [] then raw_send (frame_msg fr))
-            win
-        in
-        let rec recover err =
-          if Engine.aborting eng then raise Bqueue.Aborted;
-          on_fail ();
-          match Engine.on_crash eng cs with
-          | `Give_up ->
-              current_batch := take_unacked () @ !current_batch;
-              raise err
-          | `Retry delay -> (
-              if delay > 0.0 then Unix.sleepf delay;
-              match
-                restart_and_replay ();
-                resubmit ()
-              with
-              | () -> ()
-              | exception Bqueue.Aborted -> raise Bqueue.Aborted
-              | exception e -> recover e)
-        in
-        let settle fr (resp : Wire.msg) =
-          let acked_all () =
-            ignore (Queue.pop win);
-            win_bytes := !win_bytes - fr.wf_bytes
-          in
-          let ack out =
-            match fr.wf_items with
-            | [] ->
-                raise (Remote_crash "worker acknowledged more items than sent")
-            | it :: rest ->
-                Engine.note_item_done eng cs;
-                (match out with Some o -> forward o | None -> ());
-                Engine.Ring.push ring it;
-                fr.wf_items <- rest
-          in
-          match resp with
-          | Wire.Out out -> (
-              match fr.wf_items with
-              | [ _ ] ->
-                  ack out;
-                  acked_all ()
-              | _ -> recover (Remote_crash "single ack for a batch frame"))
-          | Wire.Outs (outs, err) -> (
-              match
-                List.iter ack outs;
-                (match err with
-                | Some msg -> raise (Remote_crash msg)
-                | None -> ());
-                if fr.wf_items <> [] then
-                  raise
-                    (Remote_crash "worker acknowledged fewer items than sent")
-              with
-              | () -> acked_all ()
-              | exception (Remote_crash _ as e) -> recover e)
-          | Wire.Crashed msg -> recover (Remote_crash msg)
-          | _ -> recover (Remote_crash "out-of-protocol response from worker")
-        in
-        (* Blocking settle of the window head.  [stalled] marks waits
-           forced by an exhausted credit/byte budget — that time is the
-           transport's credit-stall metric. *)
-        let collect_one ~stalled () =
-          match Queue.peek_opt win with
-          | None -> ()
-          | Some fr ->
-              let t0 = if stalled then Obs.Clock.elapsed_s () else 0.0 in
-              let r =
-                charge "process" (fun () ->
-                    match (Option.get handles.(s).(k)).active with
-                    | None -> Error (Remote_crash "worker is dead")
-                    | Some w -> (
-                        match
-                          let rec rd () =
-                            match Shm.recv w.conn with
-                            | Some (Wire.Telemetry t) ->
-                                absorb t;
-                                rd ()
-                            | Some m -> m
-                            | None ->
-                                raise
-                                  (Remote_crash "worker exited unexpectedly")
-                          in
-                          rd ()
-                        with
-                        | resp -> Ok resp
-                        | exception (Remote_crash _ as e) -> Error e
-                        | exception Unix.Unix_error (e, _, _) ->
-                            Error
-                              (Remote_crash
-                                 ("worker i/o error: " ^ Unix.error_message e))
-                        | exception Wire.Protocol_error m ->
-                            Error
-                              (Remote_crash ("worker protocol error: " ^ m))))
-              in
-              if stalled then
-                stall_s.(s).(k) <-
-                  stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0);
-              (match r with Ok resp -> settle fr resp | Error e -> recover e)
-        in
-        (* Opportunistic settle: consume whatever responses are already
-           waiting, without blocking. *)
-        let drain_ready () =
-          let rec go () =
-            match Queue.peek_opt win with
-            | None -> ()
-            | Some fr -> (
-                match (Option.get handles.(s).(k)).active with
-                | None -> ()
-                | Some w -> (
-                    match Shm.try_recv w.conn with
-                    | `Empty -> ()
-                    | `Msg (Wire.Telemetry t) ->
-                        absorb t;
-                        go ()
-                    | `Msg m ->
-                        settle fr m;
-                        go ()
-                    | `Eof -> recover (Remote_crash "worker exited unexpectedly")
-                    | exception Unix.Unix_error (e, _, _) ->
-                        recover
-                          (Remote_crash
-                             ("worker i/o error: " ^ Unix.error_message e))
-                    | exception Wire.Protocol_error m ->
-                        recover (Remote_crash ("worker protocol error: " ^ m)))
-                )
-          in
-          go ()
-        in
-        let rec drain_window () =
-          if not (Queue.is_empty win) then begin
-            collect_one ~stalled:false ();
-            drain_window ()
-          end
-        in
-        let submit items =
-          let est =
-            List.fold_left (fun a it -> a + Engine.item_cost it) 32 items
-          in
-          if est > big_frame_bytes then begin
-            (* An oversized frame would monopolise ring slots (or the
-               socket send buffer): settle everything in flight, then
-               take the strict one-round-trip path for this one. *)
-            drain_window ();
-            match items with
-            | [ Engine.Data b ] -> handle_data b
-            | _ ->
-                handle_data_batch
-                  (List.filter_map
-                     (function Engine.Data b -> Some b | _ -> None)
-                     items)
-          end
-          else begin
-            drain_ready ();
-            while
-              Queue.length win >= inflight || !win_bytes > inflight_byte_budget
-            do
-              collect_one ~stalled:true ()
-            done;
-            (* Queue before sending: if the send itself fails, the frame
-               is already part of the unacknowledged set and recovery
-               re-sends it. *)
-            let fr = { wf_items = items; wf_bytes = est } in
-            Queue.push fr win;
-            win_bytes := !win_bytes + est;
-            match raw_send (frame_msg fr) with
-            | () -> ()
-            | exception (Remote_crash _ as e) -> recover e
-          end
-        in
-        if use_window then drain_hooks.(s).(k) <- Some drain_window;
-        let handle_final b =
-          drain_window ();
-          let out = supervised "on_eos" (fun () -> call_eos b) in
-          current := None;
-          (match out with Some b -> forward (Engine.Final b) | None -> ());
-          Engine.Ring.push ring (Engine.Final b)
-        in
         let finalize_copy () =
-          drain_window ();
-          let out = supervised "finalize" call_finalize in
-          (match out with Some b -> forward (Engine.Final b) | None -> ());
+          finalize ();
           if not is_last then send Engine.Marker
         in
         let serve () =
-          supervised "init" call_init;
-          let serve_data m b =
-            if use_window then begin
-              current := None;
-              submit (Engine.Data b :: List.map (fun b' -> Engine.Data b') (data_run ()))
-            end
-            else
-              match data_run () with
-              | [] ->
-                  current := Some m;
-                  handle_data b
-              | more ->
-                  current := None;
-                  handle_data_batch (b :: more)
-          in
+          init ();
+          (* After the last upstream marker this copy's own stream is
+             done, but retired siblings may still re-route buffers here:
+             keep serving until the stage drain barrier releases. *)
           let rec eos_wait () =
             match recv () with
             | Release ->
                 if Engine.barrier_released eng s then finalize_copy ()
                 else eos_wait ()
-            | It (Engine.Data b) as m -> serve_data m b; eos_wait ()
-            | It (Engine.Final b) as m -> current := Some m; handle_final b; eos_wait ()
+            | It (Engine.Data b) -> on_data b; eos_wait ()
+            | It (Engine.Final b) -> on_final b; eos_wait ()
             | It Engine.Marker -> Engine.note_marker eng cs; eos_wait ()
           in
           let rec loop () =
-            let m = recv () in
-            match m with
-            | It (Engine.Data b) -> serve_data m b; loop ()
-            | It (Engine.Final b) ->
-                current := Some m;
-                handle_final b;
-                loop ()
-            | Release ->
-                current := None;
-                loop ()
+            match recv () with
+            | It (Engine.Data b) -> on_data b; loop ()
+            | It (Engine.Final b) -> on_final b; loop ()
+            | Release -> loop ()
             | It Engine.Marker ->
                 Engine.note_marker eng cs;
-                current := None;
                 if Engine.at_marker_quota eng cs then begin
                   count_eos ();
                   eos_wait ()
@@ -1652,10 +1403,8 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
         in
         (try serve () with
         | Bqueue.Aborted -> raise Bqueue.Aborted
-        | err ->
-            (* whatever the window still held joins the re-route set *)
-            current_batch := take_unacked () @ !current_batch;
-            retire err !current)
+        | Unacked (err, it) -> retire err [ it ]
+        | err -> retire err (unacked ()))
   in
 
   let wrapped_body s k () =
@@ -1674,8 +1423,8 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     Engine.mark_exited cs
   in
 
-  (* Mid-run spawns promote a dormant slot: its worker processes were
-     pre-forked above; all that is left is starting a driver domain. *)
+  (* Mid-run spawns promote a dormant slot: its worker was bound at
+     set-up; all that is left is starting a driver domain. *)
   let elastic_mu = Mutex.create () in
   let elastic : (int * int * unit Domain.t) list ref = ref [] in
   (spawn_hook :=
@@ -1750,28 +1499,9 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever once their worker dies. *)
   Array.iter (Array.iter Bqueue.close) queues;
-  (* Return the surviving children — the still-active workers of
-     completed copies and every unused spare — to the pool (unbind), or
-     reap them (plain run). *)
-  Array.iteri
-    (fun s row ->
-      Array.iteri
-        (fun k h ->
-          match h with
-          | None -> ()
-          | Some h ->
-              let lbl = label s k in
-              (match h.active with
-              | Some w -> release lbl w
-              | None -> ());
-              h.active <- None;
-              List.iter (release lbl) h.spares;
-              h.spares <- [])
-        row)
-    handles;
-  (match prev_sigpipe with
-  | Some b -> (try Sys.set_signal Sys.sigpipe b with Invalid_argument _ | Sys_error _ -> ())
-  | None -> ());
+  (* Unbind the surviving workers back into the pool. *)
+  release_all ();
+  restore_sigpipe ();
   let wall_time = Obs.Clock.elapsed_s () -. t0 in
   (* Per-copy rollup of the workers' final cumulative counters: worker
      pids, busy seconds measured inside the children and callback
@@ -1842,17 +1572,17 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     let stalls = ref [] in
     for s = n_stages - 1 downto 0 do
       for k = Engine.slots eng s - 1 downto 0 do
-        let v = stall_s.(s).(k) in
-        if v > 0.0 then begin
-          stall_total := !stall_total +. v;
-          stalls := (label s k, Obs.Json.Float v) :: !stalls
-        end
+        match windows.(s).(k) with
+        | Some win when win.stall_s > 0.0 ->
+            stall_total := !stall_total +. win.stall_s;
+            stalls := (label s k, Obs.Json.Float win.stall_s) :: !stalls
+        | _ -> ()
       done
     done;
     ( "transport",
       Obs.Json.Obj
         ([
-           ("kind", Obs.Json.Str (Shm.transport_name transport));
+           ("kind", Obs.Json.Str (Shm.transport_name pool.p_transport));
            ("inflight", Obs.Json.Int inflight);
            ("slot_bytes", Obs.Json.Int !slot_b);
            ("overflow_frames", Obs.Json.Int !overflow);
@@ -1880,14 +1610,38 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   Option.iter Spill.remove_dir spill_dir;
   result
 
+let with_engine ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
+    ?mem_budget ?queue_budgets ?autoscale topo k =
+  if not available then
+    Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
+  else
+    match
+      Engine.create ?faults ?policy ~queue_capacity ?batch ?stage_batch
+        ?mem_budget ?queue_budgets ?autoscale topo
+    with
+    | Error e -> Error e
+    | Ok eng -> k ~queue_capacity eng
+
+(* A one-shot run is a pool run on an ephemeral pool sized to the plan:
+   the same worker lifecycle, forked here while the process is still
+   single-domain and shut down after the run. *)
 let run_result ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
     ?queue_budgets ?metrics_interval_s ?autoscale ?transport ?inflight
     ?frame_bytes topo =
-  run_core ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?transport ?inflight
-    ?frame_bytes topo
+  with_engine ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
+    ?queue_budgets ?autoscale topo (fun ~queue_capacity eng ->
+      match
+        pool_create ~workers:(required_workers eng) ?transport ?frame_bytes ()
+      with
+      | Error e -> Error e
+      | Ok pool ->
+          Fun.protect
+            ~finally:(fun () -> pool_shutdown pool)
+            (fun () ->
+              run_on pool eng ~queue_capacity ?metrics_interval_s ?inflight topo))
 
 let pool_run_result pool ?queue_capacity ?faults ?policy ?batch ?stage_batch
     ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?inflight topo =
-  run_core ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?inflight ~pool topo
+  with_engine ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
+    ?queue_budgets ?autoscale topo (fun ~queue_capacity eng ->
+      run_on pool eng ~queue_capacity ?metrics_interval_s ?inflight topo)

@@ -8,16 +8,12 @@
     re-route supervisor, metrics — with one driver domain per copy
     exactly like {!Par_runtime}; children only execute filter
     callbacks.  Sink copies run in the parent so their closures (result
-    collectors) mutate caller-visible memory.  A crash decision kills
-    the copy's child with [SIGKILL], observes the real exit status with
-    [waitpid], and restarts onto a pre-forked spare (forking after
-    domains exist is unsafe in OCaml 5, so each inner copy pre-forks
-    [max_retries] spares); the retention ring is then replayed over the
-    wire like the domain backend replays it in memory.
-
-    Must be called while the calling process is still single-domain
-    (the facade's normal use); workers are forked before any driver
-    domain spawns. *)
+    collectors) mutate caller-visible memory.  Every worker comes from
+    a {!pool}.  A crash decision kills the copy's child with [SIGKILL],
+    observes the real exit status with [waitpid], and restarts onto a
+    replacement worker bound from the same pool; the retention ring is
+    then replayed over the wire like the domain backend replays it in
+    memory. *)
 
 val available : bool
 (** Whether this platform can run the backend ([Unix.fork]). *)
@@ -37,8 +33,12 @@ val run_result :
   ?frame_bytes:int ->
   Topology.t ->
   (Engine.metrics, Supervisor.run_error) result
-(** Run to completion; [Error (Unsupported _)] when {!available} is
-    [false].  [transport] picks the worker data path (default: resolved
+(** Run to completion on an ephemeral {!pool} sized to the plan (the
+    count {!pool_run_result} checks for), created for this run and shut
+    down after it.  Must be called while the calling process is still
+    single-domain (the facade's normal use): the pool forks.
+    [Error (Unsupported _)] when {!available} is [false] or the workers
+    cannot be forked.  [transport] picks the worker data path (default: resolved
     by {!Shm.resolve} — shared-memory rings when available, the
     [CGPPC_TRANSPORT] env var overriding); the chosen path is reported
     in the metrics under the ["transport"] key as an object
@@ -49,19 +49,18 @@ val run_result :
     in flight to its worker before waiting for an acknowledgement
     (default 4, clamped to [1, 16]; the [CGPPC_INFLIGHT] env var
     overrides the default when the argument is omitted).  At 1 the
-    driver is the classic strict request/response loop.  Copies with
-    injected faults always run strictly so scripted crash timing is
-    independent of the window.  [frame_bytes] sizes the shared-memory
+    window is one request/response round trip per frame.  Injected
+    faults tick as each item's acknowledgement is settled, in order, so
+    a fault plan means the same thing at every depth.  [frame_bytes]
+    sizes the shared-memory
     ring slots from the expected largest frame (see
     {!Engine.plan_frame_bytes} and {!Shm.plan_slot_bytes}) so batched
     frames stay on the ring instead of overflowing to the control
     socket.  [autoscale] arms the
     elastic-copy controller
-    ({!Engine.autoscale_loop}) on a monitor domain; because forking
-    after domains exist is impossible in OCaml 5, every dormant elastic
-    slot pre-forks its full worker complement (active plus spares) up
-    front and a mid-run spawn merely starts a driver domain over the
-    waiting processes.  [mem_budget]/[queue_budgets] bound the parent-side
+    ({!Engine.autoscale_loop}) on a monitor domain; every dormant
+    elastic slot binds its worker up front and a mid-run spawn merely
+    starts a driver domain over it.  [mem_budget]/[queue_budgets] bound the parent-side
     queues' memory exactly as in {!Par_runtime} — the queues (and so
     the spilling) live in the parent, so no wire change is involved.  Metrics match {!Par_runtime}'s shape ([queue_occupancy]
     populated, no [link_stats]); [elapsed_s] is wall time.
@@ -84,8 +83,8 @@ val run_result :
     any domain has ever been spawned and proc plans keep working for
     the life of the process.
 
-    Crash recovery is unchanged: a crash decision still SIGKILLs the
-    bound worker (the pool shrinks by one) and promotes a bound spare. *)
+    A crash decision SIGKILLs the bound worker (the pool shrinks by
+    one) and binds a replacement from the pool's free workers. *)
 
 type pool
 
@@ -127,13 +126,13 @@ val pool_run_result :
   ?inflight:int ->
   Topology.t ->
   (Engine.metrics, Supervisor.run_error) result
-(** Exactly {!run_result}, but workers come from the pool instead of
-    being forked: callable after domains have been spawned (ring slot
-    geometry is fixed at {!pool_create} time, so there is no
-    [frame_bytes] here).  Fails with
-    [Unsupported] when the pool has fewer free workers than the plan
-    needs (sources need 1 each, non-sink inner copies [1 + max_retries]
-    each, dormant elastic slots included) or has been shut down. *)
+(** Exactly {!run_result}, but on [pool]: callable after domains have
+    been spawned (ring slot geometry is fixed at {!pool_create} time,
+    so there is no [frame_bytes] here).  Fails with [Unsupported] when
+    the pool has fewer free workers than the plan needs (sources need 1
+    each, non-sink inner copies [1 + max_retries] each — one plus a
+    replacement per restart — dormant elastic slots included) or has
+    been shut down. *)
 
 val pool_shutdown : pool -> unit
 (** Orderly shutdown of every parked worker (EOF, grace period,

@@ -74,13 +74,14 @@ val run_result :
     frames each driver keeps in flight to its worker before waiting for
     an acknowledgement (default 4, clamp [1, 16], [CGPPC_INFLIGHT]
     overrides the default; see {!Proc_runtime.run_result}).
-    [frame_bytes] (Proc only, per-run forks) sizes the shared-memory
-    ring slots for the largest expected wire frame
-    ({!Shm.plan_slot_bytes}) so batched frames stay on the ring.
-    [pool] (Proc only) runs the plan on a persistent
-    {!pool} instead of forking per run — the way to execute proc plans
-    after domains have been spawned; the pool's own transport then
-    applies and [transport] and [frame_bytes] are ignored.
+    [frame_bytes] (Proc only) sizes the shared-memory ring slots for
+    the largest expected wire frame ({!Shm.plan_slot_bytes}) so
+    batched frames stay on the ring.
+    [pool] (Proc only) runs the plan on a persistent {!pool} instead of
+    an ephemeral one forked for this run — the way to execute proc
+    plans after domains have been spawned; the pool's own transport
+    and ring geometry then apply and [transport] and [frame_bytes] are
+    ignored.
 
     [autoscale] arms the mid-run elastic-copy controller on every
     backend (see {!Engine.autoscale_tick}): a sustained-saturated
@@ -109,8 +110,7 @@ val run_result :
     overrides it per stage (see {!Engine.plan_batches} to derive one
     from the cost model).  Batching is an engine-level concept, so all
     three backends honour it: one queue round-trip (Par/Proc), one
-    modeled transfer (Sim) and one wire frame (Proc, fault-inert
-    copies) per batch.
+    modeled transfer (Sim) and one wire frame (Proc) per batch.
 
     [mem_budget] (total run bytes) or [queue_budgets] (per-stage bytes,
     entry 0 ignored — sources have no input queue) cap the in-memory

@@ -10,7 +10,9 @@
    - the recovery counters agree where the semantics are shared
      (crashes, retries, retirements; par and proc also agree on replay
      counts) and differ only where documented (replay is a wall-clock
-     mechanism, so the simulator's [replayed] stays 0);
+     mechanism, so the simulator's [replayed] stays 0) — under crash
+     plans and under flaky inner and source copies, whose fault ticks
+     the proc backend fires as each acknowledgement settles;
    - all backends serialize through the one [Runtime.metrics_to_json],
      producing documents with the same shared key set.
 
@@ -388,6 +390,16 @@ let () =
       ("crash-retry", Some (plan_exn "1.0:crash@3"), None);
     ]
   in
+  (* Flaky copies, retried within the budget.  Routing picks one
+     destination per batch, so which inner copy sees how many calls —
+     and so how often the flaky window fires — legitimately differs
+     between batch groups: these are checked per group only. *)
+  let flaky =
+    [
+      ("flaky-inner", Some (plan_exn "1.*:flaky@3x2"), None);
+      ("flaky-source", Some (plan_exn "0.0:flaky@4x2"), None);
+    ]
+  in
   let with_proc = Datacutter.Proc_runtime.available in
   if not with_proc then
     prerr_endline "engine-smoke: no Unix.fork here; proc legs skipped";
@@ -409,7 +421,7 @@ let () =
                 run_proc_leg
                   ~label:(Printf.sprintf "%s/proc@B%d" what batch)
                   ?faults ?policy ~batch n ))
-            scenarios)
+            (scenarios @ flaky))
         batches
   in
   (* the elastic proc leg must also fork before any par leg spawns a
@@ -452,7 +464,7 @@ let () =
             in
             check ~what:(Printf.sprintf "%s@B%d" what batch) n legs;
             ((what, batch), legs))
-          scenarios)
+          (scenarios @ flaky))
       batches
   in
   let legs_at what batch =
@@ -530,6 +542,23 @@ let () =
   if pr.Datacutter.Supervisor.replayed <> 3 then
     die "crash-retry: expected 3 replayed inputs on par, got %d"
       pr.Datacutter.Supervisor.replayed;
+  (* the flaky windows must actually fire in every batch group, and a
+     source is never rebuilt, so nothing is replayed for it *)
+  List.iter
+    (fun batch ->
+      List.iter
+        (fun (what, _, _) ->
+          let sr = recovery_of what (legs_at what batch) "sim" in
+          if sr.Datacutter.Supervisor.retries < 1 then
+            die "%s@B%d: the flaky window never fired" what batch)
+        flaky;
+      List.iter
+        (fun (name, leg) ->
+          if leg.recovery.Datacutter.Supervisor.replayed <> 0 then
+            die "flaky-source@B%d: %s replayed %d inputs of a source" batch
+              name leg.recovery.Datacutter.Supervisor.replayed)
+        (legs_at "flaky-source" batch))
+    batches;
   (* mem-budget differential: the same pipeline under a spill-forcing
      byte budget — exactly-once delivery and one serializer shape must
      survive the out-of-core path on every backend *)
@@ -558,7 +587,8 @@ let () =
   let names = if with_proc then "sim/par/proc" else "sim/par" in
   Printf.printf
     "engine-smoke ok: %s agree on %d packets at batch 1 and 64 — healthy, \
-     crash@5+retire (rerouted) and crash@3+retry (replayed=%d); mem-budget \
+     crash@5+retire (rerouted), crash@3+retry (replayed=%d), flaky inner \
+     and flaky source; mem-budget \
      %dB agrees; elastic autoscale agrees on %d packets (%s); proc \
      transport: %s\n"
     names n pr.Datacutter.Supervisor.replayed mem_budget n_elastic

@@ -2,8 +2,9 @@
    via the @proc-smoke alias: one pipeline on forked worker processes
    with an injected [crash@2] on the middle stage, asserting that
 
-   - a *real* child process is killed and reaped, a pre-forked spare is
-     activated, and the retained inputs are replayed over the wire
+   - a *real* child process is killed and reaped, a replacement worker
+     is bound from the run's pool, and the retained inputs are replayed
+     over the wire
      (crashes = retries = 1, replayed = 2);
    - delivery is still exactly-once (the sink multiset is complete);
    - the emitted metrics JSON carries the ["backend" = "proc"]

@@ -1,5 +1,5 @@
 (* Smoke test for the proc backend's credit-based frame pipelining,
-   wired into `dune runtest` via the @stream-smoke alias.  Three legs,
+   wired into `dune runtest` via the @stream-smoke alias.  Four legs,
    each a full proc run at a deep credit window (--inflight 16):
 
    - FIFO: with every width 1, the sink must see packets in EXACT
@@ -13,11 +13,16 @@
      trip — and both counts must equal the full stream, proving no
      windowed frame was left unsettled at the barrier.
    - SIGKILL mid-window: the middle worker kills itself (once, gated
-     by a flag file the replacement spare sees) while the window is
+     by a flag file the replacement worker sees) while the window is
      full of unacknowledged frames.  The driver must reap the corpse,
-     activate the spare, replay the acknowledged ring prefix and
+     bind a replacement worker, replay the acknowledged ring prefix and
      re-send the unacknowledged window — delivery stays exactly-once
      (crashes = retries = 1, sink multiset complete, no duplicates).
+   - Depth invariance: the same [crash@5] plan at B=64 through a window
+     of depth 1 and of depth 16 must deliver the same sink multiset
+     with the same recovery counters — fault ticks fire as
+     acknowledgements settle, so a fault plan means the same thing at
+     any depth.
 
    Each leg runs in its own forked child (OCaml 5 permanently refuses
    [Unix.fork] once a domain has been spawned, and every proc run
@@ -150,12 +155,13 @@ let in_child ~label (f : unit -> leg) : leg =
           die "%s: subprocess killed by signal %d" label sg
       | _, (_, Unix.WSTOPPED _) -> die "%s: subprocess stopped" label)
 
-let run_leg ~label ?policy ~n ?final ~mid () : leg =
+let run_leg ~label ?policy ?faults ?batch ?(inflight = 16) ~n ?final ~mid
+    () : leg =
   in_child ~label (fun () ->
       let t, got = topo ~n ?final ~mid () in
       match
         Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc
-          ?policy ~inflight:16 t
+          ?policy ?faults ?batch ~inflight t
       with
       | Ok m -> { events = got (); recovery = m.Datacutter.Engine.recovery }
       | Error e ->
@@ -256,10 +262,44 @@ let () =
     die "sigkill: expected 1 retry (spare activated), got %d"
       kill.recovery.Datacutter.Supervisor.retries;
 
+  (* --- leg 4: a fault plan means the same thing at any depth -------- *)
+  let n = 200 in
+  let faults =
+    match Datacutter.Fault.parse "1.0:crash@5" with
+    | Ok p -> p
+    | Error m -> die "bad fault spec: %s" m
+  in
+  let at inflight =
+    run_leg
+      ~label:(Printf.sprintf "depth-%d" inflight)
+      ~faults ~batch:64 ~inflight ~n
+      ~mid:(fun _ -> Datacutter.Filter.pass_through "mid")
+      ()
+  in
+  let d1 = at 1 and d16 = at 16 in
+  let counters (r : Datacutter.Supervisor.recovery) =
+    Datacutter.Supervisor.
+      [ r.crashes; r.retries; r.retired; r.replayed; r.rerouted ]
+  in
+  let sorted l = List.sort compare (data_packets l.events) in
+  if sorted d1 <> List.init n Fun.id then
+    die "depth: inflight=1 delivery not exactly-once";
+  if sorted d16 <> sorted d1 then
+    die "depth: sink multisets differ between inflight=1 and inflight=16";
+  if counters d16.recovery <> counters d1.recovery then
+    die "depth: recovery counters differ (inflight=1 %s; inflight=16 %s)"
+      (String.concat "/" (List.map string_of_int (counters d1.recovery)))
+      (String.concat "/" (List.map string_of_int (counters d16.recovery)));
+  if d1.recovery.Datacutter.Supervisor.crashes <> 1 then
+    die "depth: expected the scripted crash to fire once, got %d"
+      d1.recovery.Datacutter.Supervisor.crashes;
+
   Printf.printf
     "stream-smoke ok: FIFO at inflight=16 (300 packets), window drained at \
      EOS/finalize barriers, SIGKILL mid-window recovered exactly-once \
-     (crashes=%d retries=%d replayed=%d)\n"
+     (crashes=%d retries=%d replayed=%d), crash@5 at B=64 identical at \
+     inflight 1 and 16 (replayed=%d)\n"
     kill.recovery.Datacutter.Supervisor.crashes
     kill.recovery.Datacutter.Supervisor.retries
     kill.recovery.Datacutter.Supervisor.replayed
+    d16.recovery.Datacutter.Supervisor.replayed

@@ -185,6 +185,64 @@ let test_exit_codes () =
   A.(check int) "invalid topology" 6 (exit_code_of (Invalid_topology "x"));
   A.(check int) "unsupported" 7 (exit_code_of (Unsupported "x"))
 
+(* A budgeted proc run whose set-up fails — here "worker pool too
+   small" — must return [Error (Unsupported _)] and leave no spill dir
+   behind.  The 1-worker pool is forked while this module initialises,
+   before any test spawns a domain (OCaml 5 refuses fork afterwards). *)
+let one_worker_pool =
+  if Proc_runtime.available then
+    Result.to_option (Runtime.pool_create ~workers:1 ())
+  else None
+
+let own_spill_dirs () =
+  let prefix = Printf.sprintf "cgppc-spill-%d-" (Unix.getpid ()) in
+  Sys.readdir (Filename.get_temp_dir_name ())
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+  |> List.sort compare
+
+let test_failed_setup_leaves_no_spill_dir () =
+  match one_worker_pool with
+  | None -> ()
+  | Some pool ->
+      Fun.protect ~finally:(fun () -> Runtime.pool_shutdown pool) @@ fun () ->
+      let source _ =
+        let i = ref 0 in
+        {
+          Filter.src_name = "src";
+          next =
+            (fun () ->
+              incr i;
+              if !i > 8 then None
+              else Some (Filter.make_buffer ~packet:!i (Bytes.make 8 'x'), 1.0));
+          src_finalize = (fun () -> (None, 0.0));
+        }
+      in
+      let stage stage_name role =
+        { Topology.stage_name; width = 1; power = 1.0; role }
+      in
+      let link = { Topology.bandwidth = 1e6; latency = 0.0 } in
+      let topo =
+        Topology.create
+          ~stages:
+            [
+              stage "src" (Topology.Source source);
+              stage "mid" (Topology.Inner (fun _ -> Filter.pass_through "mid"));
+              stage "sink" (Topology.Sink (fun _ -> Filter.pass_through "sink"));
+            ]
+          ~links:[ link; link ]
+      in
+      let before = own_spill_dirs () in
+      (match
+         Runtime.run_result ~backend:Runtime.Proc ~pool ~mem_budget:4096 topo
+       with
+      | Error (Supervisor.Unsupported _) -> ()
+      | Error e -> A.failf "unexpected error: %a" Supervisor.pp_run_error e
+      | Ok _ -> A.fail "a 1-worker pool cannot run a 3-stage plan");
+      A.(check (list string)) "no spill dir left behind" before
+        (own_spill_dirs ());
+      A.(check int) "worker still parked" 1 (Runtime.pool_free pool)
+
 let rm_rf dir =
   match Sys.readdir dir with
   | entries ->
@@ -402,6 +460,8 @@ let () =
             [
               A.test_case "plan_queue_budgets" `Quick test_plan_queue_budgets;
               A.test_case "exit codes" `Quick test_exit_codes;
+              A.test_case "failed proc set-up cleans up" `Quick
+                test_failed_setup_leaves_no_spill_dir;
             ] );
           ( "dataset",
             [
