@@ -1,32 +1,13 @@
-(* Regenerate the golden emit files used by test_emit_golden:
+(* Regenerate the golden files used by test_emit_golden:
      dune exec bin/gen_golden.exe -- <output-dir> *)
-open Core
-module H = Apps.Harness
-
-let plans =
-  [
-    ("knn_filters.txt", H.knn_app Apps.Knn.tiny, [| 1; 1; 1; 2 |], 3);
-    ( "vmscope_filters.txt",
-      H.vmscope_app Apps.Vmscope.tiny,
-      [| 1; 1; 3 |],
-      3 );
-  ]
-
-let plan_of app assignment m =
-  let prog = Compile.front_end ~externs_sig:app.H.externs_sig app.H.source in
-  let segments = Compile.segment ~prog in
-  let rc = Reqcomm.analyze prog segments in
-  Codegen.make_plan prog segments rc ~assignment ~m
-    ~num_packets:app.H.num_packets ~externs:app.H.externs
-    ~runtime_defs:(("num_packets", app.H.num_packets) :: app.H.runtime_defs)
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   List.iter
-    (fun (file, app, assignment, m) ->
-      let plan = plan_of app assignment m in
-      let oc = open_out (Filename.concat dir file) in
-      output_string oc (Emit.emit_plan plan);
+    (fun (file, contents) ->
+      let path = Filename.concat dir file in
+      let oc = open_out_bin path in
+      output_string oc contents;
       close_out oc;
-      Printf.printf "wrote %s\n" (Filename.concat dir file))
-    plans
+      Printf.printf "wrote %s\n" path)
+    (Apps.Golden.files ())

@@ -4,7 +4,7 @@
    filters.  Each generated filter, per unit of work:
    - unpacks the values named by the boundary's ReqComm set from the
      input buffer (using the layout chosen by [Packing]),
-   - executes its code segments with the instrumented interpreter,
+   - executes its code segments, staged once per plan (Interp.stage),
    - packs the next boundary's ReqComm set into the output buffer.
 
    Reduction globals are persistent per-copy filter state; at finalize
@@ -38,6 +38,10 @@ type plan = {
   num_packets : int;
   externs : (string * Interp.extern_fn) list;
   runtime_defs : (string * int) list;
+  (* the program and its segments, staged once and shared by every
+     copy; each unit's first segment starts from its unpacked layout *)
+  code : Interp.code;
+  pipe : Interp.pipeline;
 }
 
 let segments_of_unit plan u =
@@ -46,6 +50,20 @@ let segments_of_unit plan u =
     (fun i a -> if a = u then out := plan.segments.(i) :: !out)
     plan.assignment;
   List.rev !out
+
+(* The variables a layout binds when unpacked: the names a unit's first
+   segment starts with. *)
+let layout_names (layout : Packing.layout) =
+  List.sort_uniq compare
+    (List.map
+       (function
+         | Packing.Escalar (v, _)
+         | Packing.Eobj_field (v, _, _, _)
+         | Packing.Eobj_any (v, _, _, _)
+         | Packing.Earray (v, _, _)
+         | Packing.Ecoll (v, _, _) ->
+             v)
+       layout)
 
 let make_plan ?(layout_mode : Packing.mode = `Auto) (prog : Ast.program)
     (segments : Boundary.segment list)
@@ -76,6 +94,16 @@ let make_plan ?(layout_mode : Packing.mode = `Auto) (prog : Ast.program)
             Packing.layout_for_cut ~mode:layout_mode prog tyenv rc ~cut
               ~filter_of_seg)
   in
+  let code = Interp.stage prog in
+  let entry i =
+    if i = 0 || assignment.(i) <> assignment.(i - 1) then
+      Some (layout_names layouts.(assignment.(i) - 1))
+    else None
+  in
+  let pipe =
+    Interp.stage_pipeline code ~entry
+      (Array.map (fun seg -> seg.Boundary.seg_stmts) segments)
+  in
   {
     prog;
     segments;
@@ -88,6 +116,8 @@ let make_plan ?(layout_mode : Packing.mode = `Auto) (prog : Ast.program)
     num_packets;
     externs;
     runtime_defs;
+    code;
+    pipe;
   }
 
 (* Reduction globals held as partial state by the segments of unit [u]:
@@ -136,7 +166,7 @@ let weighted_since ctx before =
   Opcount.weighted (Opcount.diff ~after:ctx.Interp.counter ~before)
 
 (* Pack the unit's partial reduction state as an EOS payload. *)
-let finalize_payload plan u ctx genv =
+let finalize_payload plan u ctx inst =
   let updated = reduc_updated plan u in
   if SS.is_empty updated then None
   else begin
@@ -144,8 +174,7 @@ let finalize_payload plan u ctx genv =
       SS.elements updated
       |> List.filter_map (fun name ->
              match global_decl plan name with
-             | Some g ->
-                 Some (name, g.Ast.gd_ty, Interp.lookup genv name)
+             | Some g -> Some (name, g.Ast.gd_ty, Interp.global_value inst name)
              | None -> None)
     in
     let data = Objpack.pack_globals plan.prog globals in
@@ -157,7 +186,7 @@ let finalize_payload plan u ctx genv =
 
 (* Merge an EOS payload into this copy's globals where relevant; return
    the repacked leftover to forward (None if fully absorbed). *)
-let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
+let absorb_payload plan ~absorb_all u ctx inst (b : Filter.buffer) =
   let types = reduc_global_types plan in
   let incoming = Objpack.unpack_globals plan.prog types b.Filter.data in
   ctx.Interp.counter.Opcount.mem_ops <-
@@ -168,10 +197,10 @@ let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
     List.filter
       (fun (name, v) ->
         if mine name then begin
-          let mine_v = Interp.lookup genv name in
+          let mine_v = Interp.global_value inst name in
           (match (mine_v, v) with
           | V.Vobject _, V.Vobject _ ->
-              ignore (Interp.call_method ctx mine_v "merge" [ v ])
+              ignore (Interp.method_call inst mine_v "merge" [ v ])
           | _ -> V.runtime_errorf "cannot merge non-object global %s" name);
           false
         end
@@ -198,16 +227,54 @@ let forward_cost bytes = float_of_int bytes *. 0.25
 (* Filter construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The data-source filter for unit 1 (one per copy).  Copy [k] of [width]
-   handles packets congruent to k modulo width, mirroring the declustered
-   datasets of the paper's data nodes. *)
-let make_source plan ~(width : int) (k : int) : Filter.source =
+(* Per-copy interpreter state: the copy's globals over the plan's shared
+   staged code, the unit's segment indices, and the program points its
+   packing reads names at (before its first segment, after its last). *)
+type copy = {
+  ctx : Interp.ctx;
+  inst : Interp.inst;
+  segs : int list;
+  view_in : Interp.view;
+  view_out : Interp.view;
+}
+
+let make_copy plan u =
   let ctx =
     Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs
       plan.prog
   in
-  let genv = Interp.init_globals ctx in
-  let my_segs = segments_of_unit plan 1 in
+  let segs =
+    List.filter
+      (fun i -> plan.assignment.(i) = u)
+      (List.init (Array.length plan.segments) Fun.id)
+  in
+  let view_in, view_out =
+    match segs with
+    | [] -> (Interp.base_view plan.pipe, Interp.base_view plan.pipe)
+    | first :: _ ->
+        ( Interp.entry_view plan.pipe first,
+          Interp.exit_view plan.pipe (List.nth segs (List.length segs - 1)) )
+  in
+  { ctx; inst = Interp.instantiate plan.code ctx; segs; view_in; view_out }
+
+let lookup c view frame =
+  Packing.runtime_aware_lookup
+    ~runtime_def:(Hashtbl.find_opt c.ctx.Interp.runtime_defs)
+    ~lookup:(Interp.lookup view c.inst frame)
+
+(* A fresh packet frame per packet: it dies young with the packet's
+   values instead of holding them from an old heap block. *)
+let start_packet plan packet =
+  let frame = Interp.packet_frame plan.pipe in
+  Interp.start_packet plan.pipe frame packet;
+  frame
+
+(* The data-source filter for unit 1 (one per copy).  Copy [k] of [width]
+   handles packets congruent to k modulo width, mirroring the declustered
+   datasets of the paper's data nodes. *)
+let make_source plan ~(width : int) (k : int) : Filter.source =
+  let c = make_copy plan 1 in
+  let ctx = c.ctx in
   let out_layout = if plan.m > 1 then plan.layouts.(1) else [] in
   let next_packet = ref k in
   let next () =
@@ -216,16 +283,9 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
       let p = !next_packet in
       next_packet := !next_packet + width;
       let before = Opcount.copy ctx.Interp.counter in
-      let env = Interp.push_scope genv in
-      Interp.bind env plan.prog.Ast.pipeline.Ast.pd_var (V.Vint p);
-      List.iter
-        (fun seg -> Interp.exec_stmts ctx env seg.Boundary.seg_stmts)
-        my_segs;
-      let lookup =
-        Packing.runtime_aware_lookup
-          ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-          ~lookup:(Interp.lookup env)
-      in
+      let frame = start_packet plan p in
+      List.iter (Interp.run_segment plan.pipe c.inst frame) c.segs;
+      let lookup = lookup c c.view_out frame in
       let data = Packing.pack plan.prog out_layout ~lookup in
       charge_marshal ctx out_layout ~lookup
         ~consumed_here:(fun c f -> consumed_by_unit plan 1 c f);
@@ -234,7 +294,7 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
   in
   let src_finalize () =
     let before = Opcount.copy ctx.Interp.counter in
-    let payload = finalize_payload plan 1 ctx genv in
+    let payload = finalize_payload plan 1 ctx c.inst in
     (payload, weighted_since ctx before)
   in
   { Filter.src_name = Printf.sprintf "source[%d]" k; next; src_finalize }
@@ -242,12 +302,8 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
 (* An inner or sink filter for unit [u] (2..m). *)
 let make_filter plan ~(u : int)
     ?(on_result : ((string * V.t) list -> unit) option) (_k : int) : Filter.t =
-  let ctx =
-    Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs
-      plan.prog
-  in
-  let genv = Interp.init_globals ctx in
-  let my_segs = segments_of_unit plan u in
+  let c = make_copy plan u in
+  let ctx = c.ctx in
   let is_sink = u = plan.m in
   let in_layout = plan.layouts.(u - 1) in
   let out_layout = if u < plan.m then plan.layouts.(u) else [] in
@@ -255,27 +311,22 @@ let make_filter plan ~(u : int)
   let name = Printf.sprintf "unit%d" u in
   let process (b : Filter.buffer) =
     let before = Opcount.copy ctx.Interp.counter in
-    if my_segs = [] then begin
+    if c.segs = [] then begin
       (* pass-through placement: unit hosts no computation *)
       let cost = forward_cost (Filter.buffer_size b) in
       if is_sink then (None, cost) else (Some b, cost)
     end
     else begin
-      let env = Interp.push_scope genv in
-      Interp.bind env plan.prog.Ast.pipeline.Ast.pd_var (V.Vint b.Filter.packet);
-      let bindings = Packing.unpack plan.prog in_layout b.Filter.data in
-      List.iter (fun (name, v) -> Interp.bind env name v) bindings;
-      let lookup =
-        Packing.runtime_aware_lookup
-          ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-          ~lookup:(Interp.lookup env)
-      in
-      charge_marshal ctx in_layout ~lookup ~consumed_here;
+      let frame = start_packet plan b.Filter.packet in
       List.iter
-        (fun seg -> Interp.exec_stmts ctx env seg.Boundary.seg_stmts)
-        my_segs;
+        (fun (name, v) -> Interp.bind plan.pipe frame name v)
+        (Packing.unpack plan.prog in_layout b.Filter.data);
+      charge_marshal ctx in_layout ~lookup:(lookup c c.view_in frame)
+        ~consumed_here;
+      List.iter (Interp.run_segment plan.pipe c.inst frame) c.segs;
       let out =
         if u < plan.m then begin
+          let lookup = lookup c c.view_out frame in
           let data = Packing.pack plan.prog out_layout ~lookup in
           charge_marshal ctx out_layout ~lookup ~consumed_here;
           Some (Filter.make_buffer ~packet:b.Filter.packet data)
@@ -289,19 +340,21 @@ let make_filter plan ~(u : int)
     | None -> (None, 0.0)
     | Some b ->
         let before = Opcount.copy ctx.Interp.counter in
-        let fwd = absorb_payload plan ~absorb_all:is_sink u ctx genv b in
+        let fwd = absorb_payload plan ~absorb_all:is_sink u ctx c.inst b in
         ((if is_sink then None else fwd), weighted_since ctx before)
   in
   let finalize () =
     let before = Opcount.copy ctx.Interp.counter in
-    let payload = if is_sink then None else finalize_payload plan u ctx genv in
+    let payload =
+      if is_sink then None else finalize_payload plan u ctx c.inst
+    in
     if is_sink then begin
       match on_result with
       | Some f ->
           let reduc = Reqcomm.reduction_globals plan.prog in
           let results =
             Reqcomm.S.elements reduc
-            |> List.map (fun name -> (name, Interp.lookup genv name))
+            |> List.map (fun name -> (name, Interp.global_value c.inst name))
           in
           f results
       | None -> ()

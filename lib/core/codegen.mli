@@ -3,7 +3,7 @@
     Given a decomposition (segment to computing unit), builds DataCutter
     filters.  Each generated filter, per unit of work, unpacks the
     boundary's ReqComm values from the input buffer, executes its code
-    segments with the instrumented interpreter, and packs the next
+    segments (staged once per plan, shared by every copy), and packs the next
     boundary's ReqComm values into the output buffer.
 
     Reduction globals are persistent per-copy filter state; each copy
@@ -30,6 +30,10 @@ type plan = {
   num_packets : int;
   externs : (string * Interp.extern_fn) list;
   runtime_defs : (string * int) list;
+  code : Interp.code;  (** the program, staged once per plan *)
+  pipe : Interp.pipeline;
+      (** the segments, staged once per plan over one packet layout;
+          each unit's first segment starts from its unpacked names *)
 }
 
 val make_plan :

@@ -3,7 +3,7 @@
    The cost model (§4.3) needs, per candidate filter, the number of
    operations executed per packet, and per candidate boundary, the
    communication volume.  The compiler obtains both by executing the
-   segments on a few sample packets with the instrumented interpreter:
+   segments on a few sample packets with the staged interpreter:
    operation counters give Task(f_i), and the packed size of the ReqComm
    set against the live environment gives Vol(f_i).  (The paper counts
    operations statically; profiling on sample packets is the same model
@@ -11,7 +11,6 @@
    data-dependent selectivity such as the isosurface cube test.) *)
 
 open Lang
-module V = Value
 
 type t = {
   profile : Costmodel.profile;
@@ -20,6 +19,8 @@ type t = {
   boundary_bytes : float array;
   (* packed size of the final reduction state *)
   final_bytes : float;
+  (* raw operation counts of each segment, summed over the samples *)
+  ops : Opcount.t array;
 }
 
 (* Profile [segments] by running [samples] packets end-to-end.  The
@@ -40,9 +41,16 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
         if i = 0 then []
         else Packing.layout_for_cut prog tyenv rc ~cut:i ~filter_of_seg:(fun s -> s))
   in
+  let code = Interp.stage prog in
+  let pipe =
+    Interp.stage_pipeline code
+      ~entry:(fun i -> if i = 0 then Some [] else None)
+      (Array.map (fun seg -> seg.Boundary.seg_stmts) segs)
+  in
   let ctx = Interp.create_ctx ~externs ~runtime_defs prog in
-  let genv = Interp.init_globals ctx in
+  let inst = Interp.instantiate code ctx in
   let task = Array.make n1 0.0 in
+  let ops = Array.init n1 (fun _ -> Opcount.create ()) in
   let vols = Array.make (n1 + 1) 0.0 in
   let n_samples = List.length samples in
   List.iter
@@ -51,25 +59,25 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
         ~args:[ ("packet", Obs.Trace.Aint p) ]
         (Printf.sprintf "sample %d" p)
       @@ fun () ->
-      let env = Interp.push_scope genv in
-      Interp.bind env prog.Ast.pipeline.Ast.pd_var (V.Vint p);
-      Array.iteri
-        (fun i seg ->
-          let before = Opcount.copy ctx.Interp.counter in
-          Interp.exec_stmts ctx env seg.Boundary.seg_stmts;
-          let d = Opcount.diff ~after:ctx.Interp.counter ~before in
-          task.(i) <- task.(i) +. Opcount.weighted ~weights d;
-          if i < n1 - 1 then begin
-            let lookup =
-              Packing.runtime_aware_lookup
-                ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-                ~lookup:(Interp.lookup env)
-            in
-            vols.(i + 1) <-
-              vols.(i + 1)
-              +. float_of_int (Packing.packed_size prog layouts.(i + 1) ~lookup)
-          end)
-        segs)
+      let frame = Interp.packet_frame pipe in
+      Interp.start_packet pipe frame p;
+      for i = 0 to n1 - 1 do
+        let before = Opcount.copy ctx.Interp.counter in
+        Interp.run_segment pipe inst frame i;
+        let d = Opcount.diff ~after:ctx.Interp.counter ~before in
+        Opcount.add ~into:ops.(i) d;
+        task.(i) <- task.(i) +. Opcount.weighted ~weights d;
+        if i < n1 - 1 then begin
+          let lookup =
+            Packing.runtime_aware_lookup
+              ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
+              ~lookup:(Interp.lookup (Interp.exit_view pipe i) inst frame)
+          in
+          vols.(i + 1) <-
+            vols.(i + 1)
+            +. float_of_int (Packing.packed_size prog layouts.(i + 1) ~lookup)
+        end
+      done)
     samples;
   let avg = float_of_int (max 1 n_samples) in
   Array.iteri (fun i v -> task.(i) <- v /. avg) task;
@@ -80,7 +88,10 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
     List.filter_map
       (fun g ->
         if Reqcomm.S.mem g.Ast.gd_name reduc then
-          Some (g.Ast.gd_name, g.Ast.gd_ty, Interp.global_value genv g.Ast.gd_name)
+          Some
+            ( g.Ast.gd_name,
+              g.Ast.gd_ty,
+              Interp.global_value inst g.Ast.gd_name )
         else None)
       prog.Ast.globals
   in
@@ -100,4 +111,5 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
     profile = { Costmodel.task; vol_out; packets = num_packets };
     boundary_bytes = vols;
     final_bytes;
+    ops;
   }

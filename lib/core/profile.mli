@@ -15,6 +15,8 @@ type t = {
       (** bytes crossing each boundary per packet, indexed like
           {!Reqcomm.reqcomm_into} *)
   final_bytes : float;  (** packed size of the final reduction state *)
+  ops : Opcount.t array;
+      (** raw operation counts of each segment, summed over the samples *)
 }
 
 (** [run prog segments rc ~externs ~runtime_defs ~num_packets ()]

@@ -16,9 +16,20 @@ let pool_transport = Proc_runtime.pool_transport
 let pool_pids = Proc_runtime.pool_pids
 let pool_shutdown = Proc_runtime.pool_shutdown
 
+(* The metrics outlive the run, but the par and proc drivers allocate
+   parts of them on the run's own domains.  A retained block pins the
+   major-heap pool of the domain that allocated it, and every run spawns
+   new domains, so a caller keeping one record per run (a benchmark, a
+   sweep) would grow by whole pools per run.  Copy the record onto the
+   calling domain. *)
+let rehome (m : Engine.metrics) : Engine.metrics =
+  Marshal.from_bytes (Marshal.to_bytes m []) 0
+
 let run_result ?(backend = Sim) ?queue_capacity ?faults ?policy ?batch
     ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
     ?transport ?inflight ?frame_bytes ?pool topo =
+  Result.map rehome
+  @@
   match backend with
   | Sim -> (
       (* The simulator has no bounded queues, but a nonsensical capacity

@@ -1,22 +1,13 @@
-(* Golden tests for the filter emitter: the rendered filter code of two
-   applications at fixed decompositions must match the committed files.
+(* Golden tests: the rendered filter code of two applications at fixed
+   decompositions, and the profiler's per-segment operation counts and
+   Decomp plans of the paper apps, must match the committed files.
    Regenerate with `dune exec bin/gen_golden.exe -- test/golden` after an
    intentional change. *)
 
 module A = Alcotest
-open Core
-module H = Apps.Harness
-
-let plan_of app assignment m =
-  let prog = Compile.front_end ~externs_sig:app.H.externs_sig app.H.source in
-  let segments = Compile.segment ~prog in
-  let rc = Reqcomm.analyze prog segments in
-  Codegen.make_plan prog segments rc ~assignment ~m
-    ~num_packets:app.H.num_packets ~externs:app.H.externs
-    ~runtime_defs:(("num_packets", app.H.num_packets) :: app.H.runtime_defs)
 
 let read_file path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
@@ -26,21 +17,16 @@ let read_file path =
    copied next to it by the dune rule (deps). *)
 let golden name = read_file (Filename.concat "golden" name)
 
-let check_golden name app assignment m () =
-  let plan = plan_of app assignment m in
-  A.(check string) name (golden name) (Emit.emit_plan plan)
+let rendered = lazy (Apps.Golden.files ())
+
+let check_golden name () =
+  A.(check string) name (golden name) (List.assoc name (Lazy.force rendered))
 
 let suite =
   [
-    ( "knn filters",
-      `Quick,
-      check_golden "knn_filters.txt" (H.knn_app Apps.Knn.tiny)
-        [| 1; 1; 1; 2 |] 3 );
-    ( "vmscope filters",
-      `Quick,
-      check_golden "vmscope_filters.txt"
-        (H.vmscope_app Apps.Vmscope.tiny)
-        [| 1; 1; 3 |] 3 );
+    ("knn filters", `Quick, check_golden "knn_filters.txt");
+    ("vmscope filters", `Quick, check_golden "vmscope_filters.txt");
+    ("opcounts and plans", `Quick, check_golden "opcounts.txt");
   ]
 
 let () = Alcotest.run "emit-golden" [ ("emit-golden", suite) ]

@@ -136,6 +136,33 @@ let test_unknown_function_errors () =
         (Astring.String.is_infix ~affix:"nosuch" msg)
   | _ -> A.fail "expected runtime error"
 
+(* Out-of-range indices through an lvalue's array base and through
+   List.get are run-time errors of the program, like every other index
+   path, not OCaml [Invalid_argument]s. *)
+let expect_bounds_error body () =
+  let src =
+    Printf.sprintf
+      {|
+class P { float x; }
+class Acc implements Reducinterface {
+  float x;
+  void merge(Acc other) { this.x = this.x + other.x; }
+}
+Acc result = new Acc();
+pipelined (p in [0 : 1]) {
+  %s
+}
+|}
+      body
+  in
+  let prog = Parser.parse src in
+  Typecheck.check prog;
+  match Interp.run_reference (Interp.create_ctx prog) with
+  | exception V.Runtime_error msg ->
+      A.(check bool) ("bounds: " ^ msg) true
+        (Astring.String.is_infix ~affix:"bounds" msg)
+  | _ -> A.fail "expected a runtime error"
+
 let test_builtin_math () =
   let _, genv =
     run
@@ -223,6 +250,15 @@ let suite =
     ("set runtime define", `Quick, test_set_runtime_define);
     ("extern dispatch", `Quick, test_extern_dispatch);
     ("unknown function", `Quick, test_unknown_function_errors);
+    ( "field store through out-of-range index",
+      `Quick,
+      expect_bounds_error "P[] a = new P[2]; a[5].x = 1.0;" );
+    ( "field update through out-of-range index",
+      `Quick,
+      expect_bounds_error "P[] a = new P[2]; a[7].x += 1.0;" );
+    ( "list get out of range",
+      `Quick,
+      expect_bounds_error "List<P> l = new List<P>(); P q = l.get(3);" );
     ("builtin math", `Quick, test_builtin_math);
     ("trig builtins", `Quick, test_trig_builtins);
     ("int div/mod", `Quick, test_mod_and_div_ints);
