@@ -14,7 +14,7 @@
      backends          one cell on every Engine backend (sim/par/proc),
                        rows tagged with a "backend" discriminator
      parallel          real-domain wall-clock speedups
-     transport         proc worker data path A/B (sockets vs shm rings)
+     transport         proc shm data path, credit window x batch sweep
      micro             Bechamel micro-benchmarks of the compiler itself
 
    Absolute times are simulated seconds on the substitute cluster and are
@@ -881,22 +881,20 @@ let throughput_smoke () =
   Fmt.pr "perf smoke: batched legs carry batch-size histograms@."
 
 (* ------------------------------------------------------------------ *)
-(* Transport A/B: the proc backend's two worker data paths             *)
+(* Transport: the proc backend's shm data path across credit windows   *)
 (* ------------------------------------------------------------------ *)
 
-(* The same streambench cell on the proc backend across the transport ×
-   credit-window × batch grid: Unix-domain sockets at inflight {1, 16}
-   as the syscall-path control, shared-memory rings at inflight
-   {1, 4, 16}, each at batch 1, 64 and 512.  inflight=1 is one
-   request/response round trip per frame, so the per-batch vs_strict column
-   isolates exactly what credit-based pipelining buys; ring slots are
-   planner-sized from the batch plan ({!Datacutter.Engine.plan_frame_bytes})
-   so the overflow column stays at zero even for B=512 frames.  Each leg
-   runs in its own forked child (fork is refused once a domain has been
-   spawned); legs are best-of-3 wall clock. *)
+(* The same streambench cell on the proc backend across the
+   credit-window × batch grid: inflight {1, 4, 16} at batch 1, 64 and
+   512.  inflight=1 is one request/response round trip per frame, so
+   the per-batch vs_strict column isolates exactly what credit-based
+   pipelining buys; ring slots are planner-sized from the batch plan
+   ({!Datacutter.Engine.plan_frame_bytes}) so the overflow column stays
+   at zero even for B=512 frames.  Each leg runs in its own forked
+   child (fork is refused once a domain has been spawned); legs are
+   best-of-3 wall clock. *)
 let transport () =
-  print_header
-    "Transport: streambench proc 1-1-1 (socket vs shm x inflight x batch)"
+  print_header "Transport: streambench proc 1-1-1 (shm, inflight x batch)"
     [
       "batch"; "inflight"; "elapsed(s)"; "items/s"; "overflow"; "stall(s)";
       "vs w=1";
@@ -917,7 +915,7 @@ let transport () =
           16.0;
         |]
   in
-  let leg tp ~inflight ~b =
+  let leg ~inflight ~b =
     let run () =
       let topo, results =
         Apps.Streambench.topology cfg ~widths ~powers ~bandwidths
@@ -925,13 +923,12 @@ let transport () =
       in
       match
         Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc
-          ~transport:tp ~inflight ~frame_bytes:(frame_bytes b) ~batch:b topo
+          ~inflight ~frame_bytes:(frame_bytes b) ~batch:b topo
       with
       | Ok m ->
           if results () <> expected then
-            Fmt.failwith "transport %s B=%d w=%d: sink multiset diverged"
-              (Datacutter.Runtime.transport_name tp)
-              b inflight;
+            Fmt.failwith "transport B=%d w=%d: sink multiset diverged" b
+              inflight;
           let overflow, stall =
             match List.assoc_opt "transport" m.Datacutter.Engine.extra with
             | Some (Obs.Json.Obj kv) ->
@@ -945,9 +942,8 @@ let transport () =
           in
           (m.Datacutter.Engine.elapsed_s, overflow, stall)
       | Error e ->
-          Fmt.failwith "transport %s B=%d w=%d failed: %a"
-            (Datacutter.Runtime.transport_name tp)
-            b inflight Datacutter.Supervisor.pp_run_error e
+          Fmt.failwith "transport B=%d w=%d failed: %a" b inflight
+            Datacutter.Supervisor.pp_run_error e
     in
     let best = ref None in
     for _ = 1 to 3 do
@@ -960,62 +956,47 @@ let transport () =
     done;
     !best
   in
-  if not (Datacutter.Shm.available ()) then
-    Fmt.pr "  skipped: shared-memory transport unavailable on this platform@."
-  else
-    List.iter
-      (fun b ->
-        List.iter
-          (fun (tp, windows) ->
-            let name = Datacutter.Runtime.transport_name tp in
-            let strict = ref None in
-            let deepest = ref None in
-            List.iter
-              (fun w ->
-                match leg tp ~inflight:w ~b with
-                | None ->
-                    Fmt.pr "  %s B=%d w=%d skipped: fork unavailable@." name
-                      b w
-                | Some (t, overflow, stall) ->
-                    if w = 1 then strict := Some t;
-                    deepest := Some (w, t);
-                    let rate = items /. t in
-                    let vs =
-                      match !strict with Some t1 -> t1 /. t | None -> 1.0
-                    in
-                    Record.row
-                      ~tags:[ ("backend", "proc"); ("transport", name) ]
-                      (Printf.sprintf "%s/B=%d/w=%d" name b w)
-                      [
-                        ("batch", float_of_int b);
-                        ("inflight", float_of_int w);
-                        ("elapsed_s", t);
-                        ("items_per_s", rate);
-                        ("overflow_frames", float_of_int overflow);
-                        ("credit_stall_s", stall);
-                        ("vs_strict", vs);
-                      ];
-                    print_row name
-                      [
-                        string_of_int b;
-                        string_of_int w;
-                        Fmt.str "%.4f" t;
-                        Fmt.str "%.0f" rate;
-                        string_of_int overflow;
-                        Fmt.str "%.3f" stall;
-                        Fmt.str "%.2f" vs;
-                      ])
-              windows;
-            match (!strict, !deepest) with
-            | Some t1, Some (w, t) when w > 1 ->
-                Fmt.pr "  %s B=%d: inflight=%d is %.2fx strict items/s@."
-                  name b w (t1 /. t)
-            | _ -> ())
-          [
-            (Datacutter.Runtime.Socket, [ 1; 16 ]);
-            (Datacutter.Runtime.Shm, [ 1; 4; 16 ]);
-          ])
-      [ 1; 64; 512 ]
+  List.iter
+    (fun b ->
+      let strict = ref None in
+      let deepest = ref None in
+      List.iter
+        (fun w ->
+          match leg ~inflight:w ~b with
+          | None -> Fmt.pr "  B=%d w=%d skipped: fork unavailable@." b w
+          | Some (t, overflow, stall) ->
+              if w = 1 then strict := Some t;
+              deepest := Some (w, t);
+              let rate = items /. t in
+              let vs = match !strict with Some t1 -> t1 /. t | None -> 1.0 in
+              Record.row
+                ~tags:[ ("backend", "proc") ]
+                (Printf.sprintf "B=%d/w=%d" b w)
+                [
+                  ("batch", float_of_int b);
+                  ("inflight", float_of_int w);
+                  ("elapsed_s", t);
+                  ("items_per_s", rate);
+                  ("overflow_frames", float_of_int overflow);
+                  ("credit_stall_s", stall);
+                  ("vs_strict", vs);
+                ];
+              print_row "shm"
+                [
+                  string_of_int b;
+                  string_of_int w;
+                  Fmt.str "%.4f" t;
+                  Fmt.str "%.0f" rate;
+                  string_of_int overflow;
+                  Fmt.str "%.3f" stall;
+                  Fmt.str "%.2f" vs;
+                ])
+        [ 1; 4; 16 ];
+      match (!strict, !deepest) with
+      | Some t1, Some (w, t) when w > 1 ->
+          Fmt.pr "  B=%d: inflight=%d is %.2fx strict items/s@." b w (t1 /. t)
+      | _ -> ())
+    [ 1; 64; 512 ]
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-core: file-backed streambench, items/s vs dataset size vs

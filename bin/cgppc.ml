@@ -298,7 +298,7 @@ let emit file app widths strategy cluster_spec =
 
 let run file target widths strategy backend parallel cluster_spec trace mjson
     faults watchdog_ms max_retries call_budget_ms batch mem_budget interval_ms
-    openmetrics report autoscale_n replan_from transport inflight =
+    openmetrics report autoscale_n replan_from inflight =
   let cluster = cluster_of_spec cluster_spec in
   let backend = if parallel then Datacutter.Runtime.Par else backend in
   let faults = Option.value faults ~default:Datacutter.Fault.empty in
@@ -358,10 +358,6 @@ let run file target widths strategy backend parallel cluster_spec trace mjson
     (match replan_from with
     | Some path -> Obs.Metrics.set_str m "replan_from" path
     | None -> ());
-    (match (backend, transport) with
-    | Datacutter.Runtime.Proc, Some t ->
-        Obs.Metrics.set_str m "transport" (Datacutter.Runtime.transport_name t)
-    | _ -> ());
     (match (backend, inflight) with
     | Datacutter.Runtime.Proc, Some n -> Obs.Metrics.set_int m "inflight" n
     | _ -> ());
@@ -508,8 +504,8 @@ let run file target widths strategy backend parallel cluster_spec trace mjson
         in
         match
           Datacutter.Runtime.run_result ~backend ~faults ~policy ~batch
-            ?mem_budget ?metrics_interval_s ?autoscale ?transport ?inflight
-            ~frame_bytes topo
+            ?mem_budget ?metrics_interval_s ?autoscale ?inflight ~frame_bytes
+            topo
         with
         | Error err -> write_failure fill err
         | Ok m ->
@@ -550,7 +546,7 @@ let run file target widths strategy backend parallel cluster_spec trace mjson
       (match
          Datacutter.Runtime.run_result ~backend ~faults ~policy ?stage_batch
            ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-           ?transport ?inflight ~frame_bytes topo
+           ?inflight ~frame_bytes topo
        with
       | Error err -> write_failure fill err
       | Ok m ->
@@ -722,30 +718,10 @@ let backend_arg =
         ~doc:
           "Execution backend: $(b,sim) (discrete-event simulation of the \
            cluster), $(b,par) (real OCaml domains) or $(b,proc) (one forked \
-           OS process per filter copy, items serialized over shared-memory \
-           rings or Unix-domain sockets — see $(b,--transport)). All run \
-           the same pipeline engine and report the same metrics.")
-
-let transport_arg =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("shm", Datacutter.Runtime.Shm);
-                ("socket", Datacutter.Runtime.Socket);
-              ]))
-        None
-    & info [ "transport" ] ~docv:"TRANSPORT"
-        ~doc:
-          "Worker data path for $(b,--backend proc): $(b,shm) (mmap'd \
-           shared-memory ring buffers per worker, frames larger than a \
-           ring slot spilling to the socket) or $(b,socket) (the plain \
-           Unix-domain socket pair). Default: $(b,shm) when the platform \
-           supports it, honouring the $(b,CGPPC_TRANSPORT) environment \
-           variable; the metrics JSON reports the path used under \
-           $(b,transport).")
+           OS process per filter copy, items serialized over mmap'd \
+           shared-memory rings per worker, frames larger than a ring slot \
+           travelling the worker's socket). All run the same pipeline \
+           engine and report the same metrics.")
 
 let inflight_arg =
   Arg.(
@@ -931,20 +907,20 @@ let run_term ~always_report =
          (fun
            ( f, a, c, s, b, p, cl, tr, mj,
              (fl, wd, mr, cb, bt, mb),
-             (iv, om, rp, az, rf, tp, infl) )
+             (iv, om, rp, az, rf, infl) )
          ->
            run f a c s b p cl tr mj fl wd mr cb bt mb iv om
-             (rp || always_report) az rf tp infl)
+             (rp || always_report) az rf infl)
       $ (const
-           (fun f a c s b p cl tr mj fl wd mr cb bt mb iv om rp az rf tp infl ->
+           (fun f a c s b p cl tr mj fl wd mr cb bt mb iv om rp az rf infl ->
              ( f, a, c, s, b, p, cl, tr, mj,
                (fl, wd, mr, cb, bt, mb),
-               (iv, om, rp, az, rf, tp, infl) ))
+               (iv, om, rp, az, rf, infl) ))
         $ file_arg $ target_arg $ config_arg $ strategy_arg $ backend_arg
         $ parallel_arg $ cluster_arg $ trace_arg $ metrics_arg $ faults_arg
         $ watchdog_arg $ max_retries_arg $ call_budget_arg $ batch_arg
         $ mem_budget_arg $ interval_arg $ openmetrics_arg $ report_arg
-        $ autoscale_arg $ replan_from_arg $ transport_arg $ inflight_arg)))
+        $ autoscale_arg $ replan_from_arg $ inflight_arg)))
 
 (* Documented exit codes for runtime failures, mapped from the
    structured error by {!Datacutter.Supervisor.exit_code_of}.  Kept
@@ -961,7 +937,9 @@ let run_exits =
   :: Cmd.Exit.info 6 ~doc:"The topology, batch or memory-budget plan is \
                            invalid."
   :: Cmd.Exit.info 7
-       ~doc:"The requested backend is unsupported on this platform."
+       ~doc:"The requested backend is unsupported on this platform \
+             (for $(b,--backend proc): no $(b,fork), or the workers' \
+             shared-memory rings cannot be mapped)."
   :: Cmd.Exit.info 8
        ~doc:"The elastic copy budget was refused: $(b,--autoscale) got \
              a non-positive budget, or the pipeline has no inner stage \

@@ -334,16 +334,18 @@ let default_inflight = 4
    fully hidden on any host this targets. *)
 let max_inflight = 16
 
-(* In-flight request bytes a socket-path window may hold.  Well under
-   the kernel's default socketpair send buffer, so the parent's
-   pipelined writes always complete without blocking and it can always
-   progress to collecting responses. *)
+(* In-flight request bytes a window may hold.  A frame that does not
+   fit its ring slot overflows to the socketpair, and those overflow
+   writes are the only socket writes: keeping the window's bytes well
+   under the kernel's default socketpair send buffer means several
+   overflow frames in flight still complete without blocking, so the
+   parent can always progress to collecting responses. *)
 let inflight_byte_budget = 64 * 1024
 
 (* A frame estimated bigger than this travels alone (see [frame]).
-   One oversized frame can exceed what the socket buffers — or the ring
-   slot — absorb without write-side blocking, which is only safe when
-   no responses are queued behind it. *)
+   One oversized frame may overflow its ring slot and exceed what the
+   socketpair buffers absorb without write-side blocking, which is
+   only safe when no responses are queued behind it. *)
 let big_frame_bytes = 32 * 1024
 
 let resolve_inflight inflight =
@@ -640,18 +642,16 @@ type pool = {
          released: on a 2-core host that reuse cost ~10% more CPU, in
          the parent and in the workers, per streambench job. *)
   mutable p_closed : bool;
-  p_transport : Shm.transport;
   p_size : int;  (* workers forked at creation *)
 }
 
 let default_pool_workers = 8
 
-let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
+let pool_create ?(workers = default_pool_workers) ?frame_bytes () :
     (pool, Supervisor.run_error) result =
   if not available then
     Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
   else begin
-    let transport = Shm.resolve transport in
     (* Rings are mapped once, at fork time: a pool caller that knows
        its plans' largest frame sizes the slots here.  Undersized slots
        stay correct later via the overflow-to-socket fallback. *)
@@ -660,7 +660,7 @@ let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
     in
     let spawned = ref [] in
     let fork_one () =
-      let parent_conn, child_conn = Shm.pair ?slot_bytes transport in
+      let parent_conn, child_conn = Shm.pair ?slot_bytes () in
       match Unix.fork () with
       | 0 ->
           (* Keep only our own channel: inherited parent-side fds of
@@ -681,13 +681,13 @@ let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
             p_mu = Mutex.create ();
             p_free = Queue.of_seq (List.to_seq ws);
             p_closed = false;
-            p_transport = transport;
             p_size = List.length ws;
           }
     | exception e ->
         (* fork refused (a domain has already been spawned) or no
-           channel could be made: reclaim whatever we managed to fork
-           and report like a platform without fork. *)
+           channel could be made (no rings, no socketpair): reclaim
+           whatever we managed to fork and report like a platform
+           without fork. *)
         List.iter (reap_worker ~kill:true "pool") !spawned;
         Error
           (Supervisor.Unsupported
@@ -701,8 +701,6 @@ let pool_free p =
   let n = Queue.length p.p_free in
   Mutex.unlock p.p_mu;
   n
-
-let pool_transport p = p.p_transport
 
 let pool_pids p =
   Mutex.lock p.p_mu;
@@ -1553,20 +1551,20 @@ let run_on pool eng ~queue_capacity ?metrics_interval_s ?inflight
       [ ("workers", Obs.Json.Obj !entries) ]
     end
   in
-  (* Transport rollup: ring stats summed over every worker channel this
-     run touched (the counters are plain fields on the channel record,
-     so they stay readable after release/close), plus the driver-side
-     credit-stall clock.  Socket transports report zero ring stats. *)
+  (* Transport rollup: parent-side ring stats summed over every worker
+     channel this run touched (the counters are plain fields on the
+     channel record, so they stay readable after release/close), plus
+     the driver-side credit-stall clock. *)
   let transport_section () =
-    let overflow = ref 0 and occ_hw = ref 0 and slot_b = ref 0 in
+    let overflow = ref 0 and occ_hw = ref 0 and slot_b = ref 0
+    and backstop = ref 0 in
     List.iter
       (fun w ->
-        match Shm.stats w.conn with
-        | None -> ()
-        | Some st ->
-            overflow := !overflow + st.Shm.overflow_frames;
-            occ_hw := max !occ_hw st.Shm.occupancy_hw;
-            slot_b := max !slot_b st.Shm.slot_bytes)
+        let st = Shm.stats w.conn in
+        overflow := !overflow + st.Shm.overflow_frames;
+        occ_hw := max !occ_hw st.Shm.occupancy_hw;
+        slot_b := max !slot_b st.Shm.slot_bytes;
+        backstop := !backstop + st.Shm.backstop_wakeups)
       !all_workers;
     let stall_total = ref 0.0 in
     let stalls = ref [] in
@@ -1582,11 +1580,11 @@ let run_on pool eng ~queue_capacity ?metrics_interval_s ?inflight
     ( "transport",
       Obs.Json.Obj
         ([
-           ("kind", Obs.Json.Str (Shm.transport_name pool.p_transport));
            ("inflight", Obs.Json.Int inflight);
            ("slot_bytes", Obs.Json.Int !slot_b);
            ("overflow_frames", Obs.Json.Int !overflow);
            ("ring_occupancy_hw", Obs.Json.Int !occ_hw);
+           ("backstop_wakeups", Obs.Json.Int !backstop);
            ("credit_stall_s", Obs.Json.Float !stall_total);
          ]
         @ if !stalls = [] then [] else [ ("stalls", Obs.Json.Obj !stalls) ]) )
@@ -1626,12 +1624,11 @@ let with_engine ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
    the same worker lifecycle, forked here while the process is still
    single-domain and shut down after the run. *)
 let run_result ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?transport ?inflight
-    ?frame_bytes topo =
+    ?queue_budgets ?metrics_interval_s ?autoscale ?inflight ?frame_bytes topo =
   with_engine ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
     ?queue_budgets ?autoscale topo (fun ~queue_capacity eng ->
       match
-        pool_create ~workers:(required_workers eng) ?transport ?frame_bytes ()
+        pool_create ~workers:(required_workers eng) ?frame_bytes ()
       with
       | Error e -> Error e
       | Ok pool ->

@@ -1,7 +1,6 @@
 (** Process backend: one OS process per source/inner filter copy,
-    items serialized as {!Wire} frames over a per-worker channel — by
-    default shared-memory ring pairs ({!Shm}), falling back to
-    Unix-domain socket pairs.
+    items serialized as {!Wire} frames over a per-worker channel of
+    shared-memory ring pairs ({!Shm}).
 
     The parent process keeps the whole {!Engine} protocol — queues,
     routing, the EOS drain barrier, fault ticking, the retry/retire/
@@ -28,7 +27,6 @@ val run_result :
   ?queue_budgets:int array ->
   ?metrics_interval_s:float ->
   ?autoscale:Engine.autoscale ->
-  ?transport:Shm.transport ->
   ?inflight:int ->
   ?frame_bytes:int ->
   Topology.t ->
@@ -37,13 +35,11 @@ val run_result :
     count {!pool_run_result} checks for), created for this run and shut
     down after it.  Must be called while the calling process is still
     single-domain (the facade's normal use): the pool forks.
-    [Error (Unsupported _)] when {!available} is [false] or the workers
-    cannot be forked.  [transport] picks the worker data path (default: resolved
-    by {!Shm.resolve} — shared-memory rings when available, the
-    [CGPPC_TRANSPORT] env var overriding); the chosen path is reported
-    in the metrics under the ["transport"] key as an object
-    [{kind; inflight; slot_bytes; overflow_frames; ring_occupancy_hw;
-    credit_stall_s; stalls?}].
+    [Error (Unsupported _)] when {!available} is [false], the workers
+    cannot be forked or their rings cannot be mapped.  The metrics
+    carry the channels' counters under the ["transport"] key as an
+    object [{inflight; slot_bytes; overflow_frames; ring_occupancy_hw;
+    backstop_wakeups; credit_stall_s; stalls?}].
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
@@ -90,23 +86,22 @@ type pool
 
 val pool_create :
   ?workers:int ->
-  ?transport:Shm.transport ->
   ?frame_bytes:int ->
   unit ->
   (pool, Supervisor.run_error) result
 (** Fork [workers] (default 8) parked worker processes.  Must be called
-    while the process is still single-domain.  [transport] sizes the
-    per-worker channels once, at fork time (default: {!Shm.resolve});
-    [frame_bytes] sizes the ring slots for the largest frame the pool's
-    runs are expected to ship ({!Shm.plan_slot_bytes}). *)
+    while the process is still single-domain.  Each worker's channel
+    is mapped once, at fork time: [frame_bytes] sizes its ring slots
+    for the largest frame the pool's runs are expected to ship
+    ({!Shm.plan_slot_bytes}).  [Error (Unsupported _)] when a worker
+    cannot be forked or its rings cannot be mapped (there is no other
+    data path); nothing is left running in that case. *)
 
 val pool_size : pool -> int
 (** Workers forked at creation. *)
 
 val pool_free : pool -> int
 (** Workers currently parked (not checked out, not crashed). *)
-
-val pool_transport : pool -> Shm.transport
 
 val pool_pids : pool -> int list
 (** Pids of the currently parked workers, sorted — lets tests and

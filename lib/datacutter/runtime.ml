@@ -2,17 +2,11 @@ type backend = Engine.backend = Sim | Par | Proc
 
 let backend_name = Engine.backend_name
 
-type transport = Shm.transport = Shm | Socket
-
-let transport_name = Shm.transport_name
-let transport_of_name = Shm.transport_of_name
-
 type pool = Proc_runtime.pool
 
 let pool_create = Proc_runtime.pool_create
 let pool_size = Proc_runtime.pool_size
 let pool_free = Proc_runtime.pool_free
-let pool_transport = Proc_runtime.pool_transport
 let pool_pids = Proc_runtime.pool_pids
 let pool_shutdown = Proc_runtime.pool_shutdown
 
@@ -27,7 +21,7 @@ let rehome (m : Engine.metrics) : Engine.metrics =
 
 let run_result ?(backend = Sim) ?queue_capacity ?faults ?policy ?batch
     ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-    ?transport ?inflight ?frame_bytes ?pool topo =
+    ?inflight ?frame_bytes ?pool topo =
   Result.map rehome
   @@
   match backend with
@@ -52,7 +46,7 @@ let run_result ?(backend = Sim) ?queue_capacity ?faults ?policy ?batch
       | None ->
           Proc_runtime.run_result ?queue_capacity ?faults ?policy ?batch
             ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s
-            ?autoscale ?transport ?inflight ?frame_bytes topo)
+            ?autoscale ?inflight ?frame_bytes topo)
 
 let total_bytes = Engine.total_bytes
 let pp_metrics = Engine.pp_metrics

@@ -1,4 +1,4 @@
-(* Shared-memory transport (see the .mli).
+(* Shared-memory channels (see the .mli).
 
    Each direction of a channel is one SPSC ring: an [Int64] Bigarray
    over an mmap'd, already-unlinked temp file, shared between parent
@@ -35,20 +35,10 @@
    publishing a frame / freeing a slot and pokes one byte, so a parked
    side wakes at fd speed instead of nanosleep-timer-slack speed.  A
    dead peer closes the doorbell (EOF) and is double-checked with a
-   [MSG_PEEK] probe on the main socket, converting into EOF/EPIPE
+   [MSG_PEEK] probe on the overflow socket, converting into EOF/EPIPE
    instead of a hang. *)
 
 module A1 = Bigarray.Array1
-
-type transport = Shm | Socket
-
-let transport_name = function Shm -> "shm" | Socket -> "socket"
-
-let transport_of_name s =
-  match String.lowercase_ascii s with
-  | "shm" -> Some Shm
-  | "socket" -> Some Socket
-  | _ -> None
 
 (* --- rings ----------------------------------------------------------- *)
 
@@ -196,14 +186,16 @@ let park_timeout = 0.025
 
 (* --- connections ----------------------------------------------------- *)
 
-type chan = {
-  c_fd : Unix.file_descr;
+type conn = {
+  c_fd : Unix.file_descr;  (* overflow frames + liveness probe *)
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
+  db_buf : Bytes.t;  (* doorbell drain buffer *)
   tx : ring;
   rx : ring;
   fd_scratch : Bytes.t ref;  (* receive buffer for overflow frames *)
   mutable st_overflow : int;  (* frames that fell back to the socket *)
   mutable st_occ_hw : int;  (* tx occupancy high-water, in slots *)
+  mutable st_backstop : int;  (* missed doorbells caught by RCVTIMEO *)
 }
 
 let bell = Bytes.make 1 '!'
@@ -232,13 +224,13 @@ let doorbell c r flag_word =
    flag the peer checks, re-check [ready], block reading the doorbell.
    The read is bounded by [SO_RCVTIMEO] (= [park_timeout]), so one
    syscall both sleeps and drains queued wakeups (the 64-byte buffer
-   empties the pipe in one gulp).  Raise [Peer_dead] only after a
-   failed liveness probe (or doorbell EOF) AND one more [ready]
-   check — the peer may have published its last frame just before
-   dying. *)
+   empties the pipe in one gulp).  A timeout that finds [ready] already
+   true is a missed doorbell caught by the backstop, and is counted.
+   Raise [Peer_dead] only after a failed liveness probe (or doorbell
+   EOF) AND one more [ready] check — the peer may have published its
+   last frame just before dying. *)
 let wait_until c r flag_word ready =
   let set v = A1.unsafe_set r.buf flag_word (if v then 1L else 0L) in
-  let buf = Bytes.create 64 in
   let rec spin n =
     if ready () then ()
     else if n > 0 then begin
@@ -250,13 +242,16 @@ let wait_until c r flag_word ready =
     set true;
     if ready () then set false
     else
-      match Unix.read c.db buf 0 64 with
+      match Unix.read c.db c.db_buf 0 (Bytes.length c.db_buf) with
       | 0 -> dead ()  (* doorbell EOF: peer closed or died *)
       | _ -> park ()  (* woken; the loop re-checks [ready] *)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> park ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           (* RCVTIMEO expired: backstop liveness probe, then re-park *)
-          if ready () then set false
+          if ready () then begin
+            c.st_backstop <- c.st_backstop + 1;
+            set false
+          end
           else if peer_alive c.c_fd then park ()
           else dead ()
       | exception Unix.Unix_error _ -> dead ()
@@ -269,17 +264,9 @@ let wait_until c r flag_word ready =
   in
   spin (Lazy.force spin_budget)
 
-type conn =
-  | Fd of { fd : Unix.file_descr; scratch : Bytes.t ref }
-  | Ring of chan
-
-let fd_of = function Fd e -> e.fd | Ring c -> c.c_fd
-
-let close conn =
-  (try Unix.close (fd_of conn) with Unix.Unix_error _ -> ());
-  match conn with
-  | Fd _ -> ()
-  | Ring c -> ( try Unix.close c.db with Unix.Unix_error _ -> ())
+let close c =
+  (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+  try Unix.close c.db with Unix.Unix_error _ -> ()
 
 let epipe fn = raise (Unix.Unix_error (Unix.EPIPE, fn, ""))
 
@@ -307,13 +294,10 @@ let ring_send_msg c msg =
   (* a frame is now available: wake a reader parked on our tx ring *)
   doorbell c r w_rd_parked
 
-let send conn msg =
-  match conn with
-  | Fd e -> Wire.write_msg e.fd msg
-  | Ring c -> (
-      match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
-      | () -> ring_send_msg c msg
-      | exception Peer_dead -> epipe "Shm.send")
+let send c msg =
+  match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
+  | () -> ring_send_msg c msg
+  | exception Peer_dead -> epipe "Shm.send"
 
 (* Consume the published slot at the rx cursor (caller checked
    [ring_ready]): decode the frame in place from the char view, then
@@ -344,94 +328,21 @@ let ring_consume c =
     Some m
   end
 
-let recv conn =
-  match conn with
-  | Fd e -> Wire.read_msg ~scratch:e.scratch e.fd
-  | Ring c -> (
-      match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
-      | () -> ring_consume c
-      | exception Peer_dead -> None)
+let recv c =
+  match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
+  | () -> ring_consume c
+  | exception Peer_dead -> None
 
-let try_send conn msg =
-  match conn with
-  | Fd _ ->
-      send conn msg;
-      true
-  | Ring c ->
-      ring_free c.tx
-      && begin
-           ring_send_msg c msg;
-           true
-         end
+let try_send c msg =
+  ring_free c.tx
+  && begin
+       ring_send_msg c msg;
+       true
+     end
 
-let try_recv conn =
-  match conn with
-  | Fd e -> (
-      (* poll: only commit to the blocking read once at least the frame
-         header has started arriving, so a streaming driver can drain
-         ready responses between sends on either transport *)
-      match Unix.select [ e.fd ] [] [] 0.0 with
-      | [], _, _ -> `Empty
-      | _ -> ( match recv conn with Some m -> `Msg m | None -> `Eof)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Empty)
-  | Ring c ->
-      if not (ring_ready c.rx) then `Empty
-      else ( match ring_consume c with Some m -> `Msg m | None -> `Eof)
-
-(* --- reserve / commit + peek / consume ------------------------------- *)
-
-(* The in-ring codec surface used by [send]/[recv] internally, exposed
-   so callers (and the property tests) can stage a frame directly in
-   slot memory: [reserve] hands out a bounded writer over the free
-   slot's payload window, [commit] publishes exactly the bytes written
-   through it.  Symmetrically [peek] is a bounded reader over the
-   published frame, [consume] frees the slot afterwards. *)
-
-let reserve conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      if not (ring_free c.tx) then None
-      else
-        let off = payload_off c.tx c.tx.cursor in
-        Some
-          (Wirefmt.Big.writer c.tx.cbuf ~pos:off
-             ~limit:(off + c.tx.payload_bytes))
-
-let commit conn w =
-  match conn with
-  | Fd _ -> invalid_arg "Shm.commit: socket endpoint"
-  | Ring c ->
-      let r = c.tx in
-      let len = Wirefmt.Big.writer_pos w - payload_off r r.cursor in
-      if len < 0 || len > r.payload_bytes then
-        invalid_arg "Shm.commit: writer does not match the reserved slot";
-      ring_publish r len;
-      let occ = r.cursor - r.cached_tail in
-      if occ > c.st_occ_hw then c.st_occ_hw <- occ;
-      doorbell c r w_rd_parked
-
-let peek conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      if not (ring_ready c.rx) then None
-      else
-        let r = c.rx in
-        let base = slot_base r r.cursor in
-        let len = Int64.to_int (A1.unsafe_get r.buf (base + 1)) in
-        if len < 0 || len > r.payload_bytes then None
-          (* overflow marker: the frame is on the socket — use [recv] *)
-        else
-          let off = payload_off r r.cursor in
-          Some (Wirefmt.Big.reader r.cbuf ~pos:off ~limit:(off + len))
-
-let consume conn =
-  match conn with
-  | Fd _ -> invalid_arg "Shm.consume: socket endpoint"
-  | Ring c ->
-      ring_release c.rx;
-      doorbell c c.rx w_wr_parked
+let try_recv c =
+  if not (ring_ready c.rx) then `Empty
+  else match ring_consume c with Some m -> `Msg m | None -> `Eof
 
 (* --- stats ----------------------------------------------------------- *)
 
@@ -440,75 +351,64 @@ type stats = {
   occupancy_hw : int;
   slots : int;
   slot_bytes : int;
+  backstop_wakeups : int;
 }
 
-let stats conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      Some
-        {
-          overflow_frames = c.st_overflow;
-          occupancy_hw = c.st_occ_hw;
-          slots = c.tx.slots;
-          slot_bytes = c.tx.payload_bytes;
-        }
+let stats c =
+  {
+    overflow_frames = c.st_overflow;
+    occupancy_hw = c.st_occ_hw;
+    slots = c.tx.slots;
+    slot_bytes = c.tx.payload_bytes;
+    backstop_wakeups = c.st_backstop;
+  }
 
 (* --- construction ---------------------------------------------------- *)
 
 let default_slots = 64
 let default_slot_bytes = 16 * 1024
 
-let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes)
-    transport =
+(* Close [fds] and re-raise when [f] fails. *)
+let closing_on_error fds f =
+  match f () with
+  | v -> v
+  | exception e ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
+      raise e
+
+let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) () =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Shm.pair: slots must be a positive power of two";
   if slot_bytes <= 0 then invalid_arg "Shm.pair: slot_bytes must be positive";
   let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match transport with
-  | Socket ->
-      ( Fd { fd = fd_a; scratch = ref (Bytes.create 256) },
-        Fd { fd = fd_b; scratch = ref (Bytes.create 256) } )
-  | Shm -> (
-      match
-        let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match
-          (* parked reads sleep in the kernel but still time out for the
-             liveness backstop; sends never wedge on a full pipe *)
-          List.iter
-            (fun fd ->
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
-              Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
-            [ db_a; db_b ];
-          let ab = map_ring ~slots ~slot_bytes in
-          (* a -> b *)
-          let ba = map_ring ~slots ~slot_bytes in
-          (* b -> a *)
-          let mk fd db tx_buf rx_buf =
-            Ring
-              {
-                c_fd = fd;
-                db;
-                tx = ring_view tx_buf ~slots ~slot_bytes;
-                rx = ring_view rx_buf ~slots ~slot_bytes;
-                fd_scratch = ref (Bytes.create 256);
-                st_overflow = 0;
-                st_occ_hw = 0;
-              }
-          in
-          (mk fd_a db_a ab ba, mk fd_b db_b ba ab)
-        with
-        | pair -> pair
-        | exception e ->
-            (try Unix.close db_a with Unix.Unix_error _ -> ());
-            (try Unix.close db_b with Unix.Unix_error _ -> ());
-            raise e
-      with
-      | pair -> pair
-      | exception e ->
-          (try Unix.close fd_a with Unix.Unix_error _ -> ());
-          (try Unix.close fd_b with Unix.Unix_error _ -> ());
-          raise e)
+  closing_on_error [ fd_a; fd_b ] @@ fun () ->
+  let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  closing_on_error [ db_a; db_b ] @@ fun () ->
+  (* parked reads sleep in the kernel but still time out for the
+     liveness backstop; sends never wedge on a full pipe *)
+  List.iter
+    (fun fd ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
+    [ db_a; db_b ];
+  let ab = map_ring ~slots ~slot_bytes in
+  (* a -> b *)
+  let ba = map_ring ~slots ~slot_bytes in
+  (* b -> a *)
+  let mk fd db tx_buf rx_buf =
+    {
+      c_fd = fd;
+      db;
+      db_buf = Bytes.create 64;
+      tx = ring_view tx_buf ~slots ~slot_bytes;
+      rx = ring_view rx_buf ~slots ~slot_bytes;
+      fd_scratch = ref (Bytes.create 256);
+      st_overflow = 0;
+      st_occ_hw = 0;
+      st_backstop = 0;
+    }
+  in
+  (mk fd_a db_a ab ba, mk fd_b db_b ba ab)
 
 (* Ring slot geometry derived from the batch planner's frame-size
    estimate: the next power of two that fits the largest planned frame
@@ -522,30 +422,3 @@ let plan_slot_bytes ~frame_bytes =
   let target = frame_bytes + 64 in
   let rec up n = if n >= target || n >= max_slot_bytes then n else up (2 * n) in
   up default_slot_bytes
-
-let available_memo =
-  lazy
-    ((not Sys.win32)
-    &&
-    match map_ring ~slots:2 ~slot_bytes:64 with
-    | _, _ -> true
-    | exception _ -> false)
-
-let available () = Lazy.force available_memo
-
-let degrade () =
-  Logs.warn (fun m ->
-      m "shm transport unavailable on this platform; using sockets");
-  Socket
-
-let resolve choice =
-  match choice with
-  | Some Shm when not (available ()) -> degrade ()
-  | Some t -> t
-  | None -> (
-      match
-        Option.bind (Sys.getenv_opt "CGPPC_TRANSPORT") transport_of_name
-      with
-      | Some Shm when not (available ()) -> degrade ()
-      | Some t -> t
-      | None -> if available () then Shm else Socket)

@@ -132,7 +132,7 @@ type leg = {
   keys : string list;
       (** top-level metrics-JSON keys, minus the documented optional
           sections (links on sim, the worker-telemetry rollup and
-          transport discriminator on proc) *)
+          transport counters on proc) *)
 }
 
 let strip keys =
@@ -589,11 +589,9 @@ let () =
     "engine-smoke ok: %s agree on %d packets at batch 1 and 64 — healthy, \
      crash@5+retire (rerouted), crash@3+retry (replayed=%d), flaky inner \
      and flaky source; mem-budget \
-     %dB agrees; elastic autoscale agrees on %d packets (%s); proc \
-     transport: %s\n"
+     %dB agrees; elastic autoscale agrees on %d packets (%s)\n"
     names n pr.Datacutter.Supervisor.replayed mem_budget n_elastic
     (String.concat ", "
        (List.map
           (fun (name, leg) -> Printf.sprintf "%s +%d" name leg.e_spawned)
           elastic_legs))
-    (Datacutter.Runtime.transport_name (Datacutter.Shm.resolve None))

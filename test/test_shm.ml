@@ -1,11 +1,11 @@
-(* Tests for the shared-memory proc transport (Shm) and the persistent
-   worker pool (satellites of the shm-transport PR): ring wrap-around
-   and full/empty boundaries through the nonblocking endpoints,
-   overflow frames falling back to the socket in order, a SIGKILLed
-   peer surfacing as EOF/EPIPE instead of a wedge, the pool executing
-   several distinct plans on one stable set of worker pids, and a
-   QCheck round-trip of arbitrary frames against the Wire codec's
-   structural equality.
+(* Tests for the shared-memory proc channels (Shm) and the persistent
+   worker pool: ring wrap-around and full/empty boundaries through the
+   nonblocking endpoints, overflow frames falling back to the socket in
+   order, a SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge,
+   a pool whose rings cannot be mapped failing cleanly (no other data
+   path to fall back to), the pool executing several distinct plans on
+   one stable set of worker pids, and QCheck round-trips of arbitrary
+   frames against the Wire codec's structural equality.
 
    Ordering matters: the fork-based tests (peer death, pool) run
    before anything could spawn a domain — OCaml 5 permanently refuses
@@ -19,13 +19,6 @@ module Filter = Datacutter.Filter
 module Runtime = Datacutter.Runtime
 module Supervisor = Datacutter.Supervisor
 
-let shm_available = Shm.available ()
-
-(* Skip (trivially pass) ring-specific tests where mmap rings don't
-   work; the suite still exercises the socket fallback. *)
-let ring_pair ?slots ?slot_bytes () =
-  if shm_available then Some (Shm.pair ?slots ?slot_bytes Shm.Shm) else None
-
 let crashed i = Wire.Crashed (Printf.sprintf "frame-%d" i)
 
 let expect_crashed what i = function
@@ -38,144 +31,156 @@ let expect_crashed what i = function
 (* --- ring mechanics, in-process over both endpoints ------------------ *)
 
 let test_wraparound () =
-  match ring_pair ~slots:8 ~slot_bytes:512 () with
-  | None -> ()
-  | Some (a, b) ->
-      (* Far more frames than slots, one at a time: the cursor laps the
-         ring dozens of times and every frame arrives intact and in
-         order. *)
-      for i = 0 to 499 do
-        Shm.send a (crashed i);
-        match Shm.recv b with
-        | Some (Wire.Crashed s) ->
-            Alcotest.(check string)
-              "wrapped frame" (Printf.sprintf "frame-%d" i) s
-        | _ -> Alcotest.fail "wrap-around: lost or mangled frame"
-      done;
-      (* and in the other direction: endpoints are symmetric *)
-      for i = 0 to 99 do
-        Shm.send b (crashed i);
-        match Shm.recv a with
-        | Some (Wire.Crashed s) ->
-            Alcotest.(check string)
-              "reverse frame" (Printf.sprintf "frame-%d" i) s
-        | _ -> Alcotest.fail "wrap-around: reverse direction broken"
-      done;
-      Shm.close a;
-      Shm.close b
+  let a, b = Shm.pair ~slots:8 ~slot_bytes:512 () in
+  (* Far more frames than slots, one at a time: the cursor laps the
+     ring dozens of times and every frame arrives intact and in
+     order. *)
+  for i = 0 to 499 do
+    Shm.send a (crashed i);
+    match Shm.recv b with
+    | Some (Wire.Crashed s) ->
+        Alcotest.(check string)
+          "wrapped frame" (Printf.sprintf "frame-%d" i) s
+    | _ -> Alcotest.fail "wrap-around: lost or mangled frame"
+  done;
+  (* and in the other direction: endpoints are symmetric *)
+  for i = 0 to 99 do
+    Shm.send b (crashed i);
+    match Shm.recv a with
+    | Some (Wire.Crashed s) ->
+        Alcotest.(check string)
+          "reverse frame" (Printf.sprintf "frame-%d" i) s
+    | _ -> Alcotest.fail "wrap-around: reverse direction broken"
+  done;
+  Shm.close a;
+  Shm.close b
 
 let test_full_empty_boundary () =
-  match ring_pair ~slots:8 ~slot_bytes:512 () with
-  | None -> ()
-  | Some (a, b) ->
-      (match Shm.try_recv b with
-      | `Empty -> ()
-      | _ -> Alcotest.fail "fresh ring should be empty");
-      (* fill to capacity: every slot usable, then a clean refusal *)
-      let accepted = ref 0 in
-      while Shm.try_send a (crashed !accepted) do
-        incr accepted;
-        if !accepted > 64 then Alcotest.fail "ring never reported full"
-      done;
-      Alcotest.(check int) "all 8 slots usable" 8 !accepted;
-      (* drain completely, order preserved *)
-      for i = 0 to !accepted - 1 do
-        expect_crashed "drained frame" i (Shm.try_recv b)
-      done;
-      (match Shm.try_recv b with
-      | `Empty -> ()
-      | _ -> Alcotest.fail "drained ring should be empty");
-      (* the freed slots are reusable: full cycle again *)
-      Alcotest.(check bool) "reusable after drain" true
-        (Shm.try_send a (crashed 0));
-      expect_crashed "reused slot" 0 (Shm.try_recv b);
-      Shm.close a;
-      Shm.close b
+  let a, b = Shm.pair ~slots:8 ~slot_bytes:512 () in
+  (match Shm.try_recv b with
+  | `Empty -> ()
+  | _ -> Alcotest.fail "fresh ring should be empty");
+  (* fill to capacity: every slot usable, then a clean refusal *)
+  let accepted = ref 0 in
+  while Shm.try_send a (crashed !accepted) do
+    incr accepted;
+    if !accepted > 64 then Alcotest.fail "ring never reported full"
+  done;
+  Alcotest.(check int) "all 8 slots usable" 8 !accepted;
+  (* drain completely, order preserved *)
+  for i = 0 to !accepted - 1 do
+    expect_crashed "drained frame" i (Shm.try_recv b)
+  done;
+  (match Shm.try_recv b with
+  | `Empty -> ()
+  | _ -> Alcotest.fail "drained ring should be empty");
+  (* the freed slots are reusable: full cycle again *)
+  Alcotest.(check bool) "reusable after drain" true
+    (Shm.try_send a (crashed 0));
+  expect_crashed "reused slot" 0 (Shm.try_recv b);
+  Shm.close a;
+  Shm.close b
 
 let test_overflow_in_order () =
-  match ring_pair ~slots:8 ~slot_bytes:256 () with
-  | None -> ()
-  | Some (a, b) ->
-      (* Frames alternately below and far above the slot payload: the
-         big ones ride the socket behind an in-ring marker, and the
-         receiver still sees strict sending order. *)
-      let payload i =
-        if i mod 2 = 0 then Printf.sprintf "small-%d" i
-        else Printf.sprintf "big-%d-%s" i (String.make 4096 'x')
-      in
-      (* bursts of 6 (≤ the 8 ring slots — a single thread drives both
-         endpoints, so a full ring would deadlock), then drain: each
-         burst mixes in-ring and overflow frames *)
-      for burst = 0 to 4 do
-        let base = burst * 6 in
-        for i = base to base + 5 do
-          Shm.send a (Wire.Crashed (payload i))
-        done;
-        for i = base to base + 5 do
-          match Shm.recv b with
-          | Some (Wire.Crashed s) ->
-              Alcotest.(check string) "mixed-size frame" (payload i) s
-          | _ -> Alcotest.fail "overflow: lost or mangled frame"
-        done
-      done;
-      Shm.close a;
-      Shm.close b
-
-let test_socket_transport_roundtrip () =
-  let a, b = Shm.pair Shm.Socket in
-  Shm.send a (crashed 42);
-  (match Shm.recv b with
-  | Some (Wire.Crashed s) -> Alcotest.(check string) "socket frame" "frame-42" s
-  | _ -> Alcotest.fail "socket transport: lost frame");
+  let a, b = Shm.pair ~slots:8 ~slot_bytes:256 () in
+  (* Frames alternately below and far above the slot payload: the
+     big ones ride the socket behind an in-ring marker, and the
+     receiver still sees strict sending order. *)
+  let payload i =
+    if i mod 2 = 0 then Printf.sprintf "small-%d" i
+    else Printf.sprintf "big-%d-%s" i (String.make 4096 'x')
+  in
+  (* bursts of 6 (≤ the 8 ring slots — a single thread drives both
+     endpoints, so a full ring would deadlock), then drain: each
+     burst mixes in-ring and overflow frames *)
+  for burst = 0 to 4 do
+    let base = burst * 6 in
+    for i = base to base + 5 do
+      Shm.send a (Wire.Crashed (payload i))
+    done;
+    for i = base to base + 5 do
+      match Shm.recv b with
+      | Some (Wire.Crashed s) ->
+          Alcotest.(check string) "mixed-size frame" (payload i) s
+      | _ -> Alcotest.fail "overflow: lost or mangled frame"
+    done
+  done;
   Shm.close a;
-  (* peer observes EOF *)
-  (match Shm.recv b with
-  | None -> ()
-  | Some _ -> Alcotest.fail "closed socket peer should see EOF");
   Shm.close b
 
 (* --- peer death (forks: must precede any domain spawn) --------------- *)
 
 let test_sigkill_peer () =
-  match ring_pair ~slots:8 ~slot_bytes:512 () with
-  | None -> ()
-  | Some (a, b) -> (
-      match Unix.fork () with
-      | 0 ->
-          (* child: publish five frames into the shared ring, then die
-             holding the mapping — SIGKILL, no cleanup of any kind *)
-          Shm.close a;
-          for i = 0 to 4 do
-            Shm.send b (crashed i)
-          done;
-          Unix.kill (Unix.getpid ()) Sys.sigkill;
-          Unix._exit 1
-      | pid ->
-          Shm.close b;
-          (* frames written before death are still delivered... *)
-          for i = 0 to 4 do
-            match Shm.recv a with
-            | Some (Wire.Crashed s) ->
-                Alcotest.(check string)
-                  "pre-death frame" (Printf.sprintf "frame-%d" i) s
-            | _ -> Alcotest.fail "sigkill: pre-death frame lost"
-          done;
-          (* ...then the death surfaces as EOF, not a wedge *)
-          (match Shm.recv a with
-          | None -> ()
-          | Some _ -> Alcotest.fail "sigkill: expected EOF after peer death");
-          (* and a blocked send surfaces as EPIPE once the ring fills *)
-          let saw_epipe = ref false in
-          (try
-             for i = 0 to 99 do
-               Shm.send a (crashed i)
-             done
-           with Unix.Unix_error (Unix.EPIPE, _, _) -> saw_epipe := true);
-          Alcotest.(check bool) "EPIPE on dead peer" true !saw_epipe;
-          ignore (Unix.waitpid [] pid);
-          Shm.close a)
+  let a, b = Shm.pair ~slots:8 ~slot_bytes:512 () in
+  match Unix.fork () with
+  | 0 ->
+      (* child: publish five frames into the shared ring, then die
+         holding the mapping — SIGKILL, no cleanup of any kind *)
+      Shm.close a;
+      for i = 0 to 4 do
+        Shm.send b (crashed i)
+      done;
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+      Unix._exit 1
+  | pid ->
+      Shm.close b;
+      (* frames written before death are still delivered... *)
+      for i = 0 to 4 do
+        match Shm.recv a with
+        | Some (Wire.Crashed s) ->
+            Alcotest.(check string)
+              "pre-death frame" (Printf.sprintf "frame-%d" i) s
+        | _ -> Alcotest.fail "sigkill: pre-death frame lost"
+      done;
+      (* ...then the death surfaces as EOF, not a wedge *)
+      (match Shm.recv a with
+      | None -> ()
+      | Some _ -> Alcotest.fail "sigkill: expected EOF after peer death");
+      (* and a blocked send surfaces as EPIPE once the ring fills *)
+      let saw_epipe = ref false in
+      (try
+         for i = 0 to 99 do
+           Shm.send a (crashed i)
+         done
+       with Unix.Unix_error (Unix.EPIPE, _, _) -> saw_epipe := true);
+      Alcotest.(check bool) "EPIPE on dead peer" true !saw_epipe;
+      ignore (Unix.waitpid [] pid);
+      Shm.close a
 
 (* --- the persistent pool (forks, then spawns domains) ----------------- *)
+
+(* [true] iff this process has no child, running or unreaped. *)
+let no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+(* The rings are the only data path: when they cannot be mapped (here:
+   the temp directory their backing files live in is missing), pool
+   creation must report [Unsupported] instead of degrading, and must
+   leave no worker behind. *)
+let test_pool_no_rings () =
+  if Datacutter.Proc_runtime.available then begin
+    Alcotest.(check bool) "no children before" true (no_children ());
+    let tmp = Filename.get_temp_dir_name () in
+    let res =
+      Fun.protect
+        ~finally:(fun () -> Filename.set_temp_dir_name tmp)
+        (fun () ->
+          Filename.set_temp_dir_name
+            (Filename.concat tmp
+               (Printf.sprintf "cgppc-missing-%d" (Unix.getpid ())));
+          Runtime.pool_create ~workers:3 ())
+    in
+    (match res with
+    | Error (Supervisor.Unsupported _) -> ()
+    | Error e ->
+        Alcotest.failf "expected Unsupported, got %a" Supervisor.pp_run_error e
+    | Ok pool ->
+        Runtime.pool_shutdown pool;
+        Alcotest.fail "pool_create succeeded without mappable rings");
+    Alcotest.(check bool) "no worker left behind" true (no_children ())
+  end
 
 let buffer_of_int packet =
   let b = Bytes.create 8 in
@@ -283,16 +288,19 @@ let test_pool_stable_pids () =
               Alcotest.failf "%s: %a" label Supervisor.pp_run_error e
           | Ok m ->
               Alcotest.(check (list int)) (label ^ ": sink") expected (got ());
-              (match
-                 Obs.Json.member "kind"
-                   (Obs.Json.member "transport" (Runtime.metrics_to_json m))
-               with
-              | Obs.Json.Str t ->
-                  Alcotest.(check string)
-                    (label ^ ": transport")
-                    (Runtime.transport_name (Runtime.pool_transport pool))
-                    t
-              | _ -> Alcotest.failf "%s: no transport kind" label);
+              let transport =
+                Obs.Json.member "transport" (Runtime.metrics_to_json m)
+              in
+              (match Obs.Json.member "slot_bytes" transport with
+              | Obs.Json.Int n ->
+                  Alcotest.(check bool)
+                    (label ^ ": slot_bytes > 0") true (n > 0)
+              | _ -> Alcotest.failf "%s: no transport slot_bytes" label);
+              (match Obs.Json.member "backstop_wakeups" transport with
+              | Obs.Json.Int n ->
+                  Alcotest.(check bool) (label ^ ": backstop_wakeups >= 0") true
+                    (n >= 0)
+              | _ -> Alcotest.failf "%s: no transport backstop_wakeups" label);
               Alcotest.(check int)
                 (label ^ ": workers returned")
                 6 (Runtime.pool_free pool);
@@ -347,8 +355,7 @@ let qcheck_roundtrip =
     QCheck.(
       pair (string_of_size Gen.(0 -- 2000)) (small_list (string_of_size Gen.(0 -- 600))))
     (fun (s, batch) ->
-      QCheck.assume shm_available;
-      let a, b = Shm.pair ~slots:8 ~slot_bytes:512 Shm.Shm in
+      let a, b = Shm.pair ~slots:8 ~slot_bytes:512 () in
       let sent =
         [
           Wire.Crashed s;
@@ -373,13 +380,12 @@ let qcheck_roundtrip =
       Shm.close b;
       ok)
 
-(* The zero-copy surface against the Bytes codec: encode each message
-   directly into a reserved ring slot ([reserve]/[Wire.encode_big]/
-   [commit]), decode it in place from the peeked slot
-   ([peek]/[Wire.decode_big]/[consume]), and check the decoded message
-   is structurally equal both to the original and to what the plain
-   Bytes codec ([Wire.encode]/[Wire.decode]) round-trips — the two
-   paths must describe the same wire language. *)
+(* The in-ring path against the Bytes codec: with slots large enough
+   that nothing overflows, every message is encoded directly into a
+   ring slot by [send] and decoded in place by [recv]; the decoded
+   message must be structurally equal both to the original and to what
+   the plain Bytes codec ([Wire.encode]/[Wire.decode]) round-trips —
+   the two paths must describe the same wire language. *)
 let msg_equal a b =
   match (a, b) with
   | Wire.Crashed x, Wire.Crashed y -> String.equal x y
@@ -392,14 +398,14 @@ let msg_equal a b =
   | _ -> false
 
 let qcheck_inring_vs_bytes =
-  QCheck.Test.make ~name:"reserve/commit matches the Bytes codec" ~count:150
+  QCheck.Test.make ~name:"in-ring send/recv matches the Bytes codec"
+    ~count:150
     QCheck.(
       pair
         (string_of_size Gen.(0 -- 400))
         (small_list (string_of_size Gen.(0 -- 100))))
     (fun (s, batch) ->
-      QCheck.assume shm_available;
-      let a, b = Shm.pair ~slots:8 ~slot_bytes:65536 Shm.Shm in
+      let a, b = Shm.pair ~slots:8 ~slot_bytes:65536 () in
       let msgs =
         [
           Wire.Crashed s;
@@ -412,23 +418,21 @@ let qcheck_inring_vs_bytes =
       let ok =
         List.for_all
           (fun m ->
-            match Shm.reserve a with
+            Shm.send a m;
+            match Shm.recv b with
             | None -> false
-            | Some w -> (
-                Wire.encode_big w m;
-                Shm.commit a w;
-                match Shm.peek b with
-                | None -> false
-                | Some r ->
-                    let got = Wire.decode_big r in
-                    Shm.consume b;
-                    let via_bytes, _ = Wire.decode (Wire.encode m) ~pos:0 in
-                    msg_equal m got && msg_equal m via_bytes))
+            | Some got ->
+                let via_bytes, _ = Wire.decode (Wire.encode m) ~pos:0 in
+                msg_equal m got && msg_equal m via_bytes)
           msgs
+      in
+      let in_ring =
+        (Shm.stats a).Shm.overflow_frames = 0
+        && (Shm.stats b).Shm.overflow_frames = 0
       in
       Shm.close a;
       Shm.close b;
-      ok)
+      ok && in_ring)
 
 let () =
   Alcotest.run "shm"
@@ -440,13 +444,13 @@ let () =
             test_full_empty_boundary;
           Alcotest.test_case "overflow frames stay in order" `Quick
             test_overflow_in_order;
-          Alcotest.test_case "socket transport round-trip" `Quick
-            test_socket_transport_roundtrip;
         ] );
       ( "death",
         [ Alcotest.test_case "SIGKILLed peer" `Quick test_sigkill_peer ] );
       ( "pool",
         [
+          Alcotest.test_case "unmappable rings fail cleanly" `Quick
+            test_pool_no_rings;
           Alcotest.test_case "three plans on stable pids" `Quick
             test_pool_stable_pids;
         ] );

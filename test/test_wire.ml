@@ -1,8 +1,8 @@
-(* Unit tests for the process backend's wire protocol (satellite of the
-   proc-backend PR): frame round-trips for every message kind, rejection
-   of truncated and oversized frames, and partial-read reassembly
-   through the incremental decoder — the paths a dying child process
-   exercises for real. *)
+(* Unit tests for the process backend's wire protocol: frame
+   round-trips for every message kind, rejection of truncated and
+   oversized frames, and framed messages crossing an fd in arbitrary
+   chunks, short writes and EINTR — the overflow path of a shm channel
+   and the paths a dying child process exercises for real. *)
 
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
@@ -221,87 +221,6 @@ let test_trailing_bytes () =
   check_protocol_error "trailing payload bytes" (fun () ->
       Wire.decode padded ~pos:0)
 
-(* The incremental decoder must reassemble frames fed one byte at a
-   time, and hand back multiple frames from one big chunk. *)
-let test_decoder_reassembly () =
-  let d = Wire.Decoder.create () in
-  let stream = Bytes.concat Bytes.empty (List.map Wire.encode samples) in
-  let out = ref [] in
-  for i = 0 to Bytes.length stream - 1 do
-    Wire.Decoder.feed d stream ~off:i ~len:1;
-    let rec drain () =
-      match Wire.Decoder.next d with
-      | Some m ->
-          out := m :: !out;
-          drain ()
-      | None -> ()
-    in
-    drain ()
-  done;
-  let out = List.rev !out in
-  Alcotest.(check int) "every frame recovered" (List.length samples)
-    (List.length out);
-  List.iter2
-    (fun want got ->
-      Alcotest.(check bool)
-        (msg_name want ^ " survives byte-wise reassembly")
-        true (msg_equal want got))
-    samples out;
-  Alcotest.(check bool) "decoder drained" true (Wire.Decoder.next d = None)
-
-let test_decoder_bulk () =
-  let d = Wire.Decoder.create () in
-  let stream = Bytes.concat Bytes.empty (List.map Wire.encode samples) in
-  Wire.Decoder.feed d stream ~off:0 ~len:(Bytes.length stream);
-  let n = ref 0 in
-  let rec drain () =
-    match Wire.Decoder.next d with
-    | Some _ ->
-        incr n;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "one chunk, all frames" (List.length samples) !n
-
-(* One oversized frame must not pin its buffer for the connection's
-   remaining lifetime: once drained, capacity falls back to a small
-   constant, and subsequent small frames keep it there. *)
-let test_decoder_shrink () =
-  let d = Wire.Decoder.create () in
-  let small_cap = Wire.Decoder.capacity d in
-  let big =
-    Wire.encode (Wire.Crashed (String.make (1024 * 1024) 'x'))
-  in
-  Wire.Decoder.feed d big ~off:0 ~len:(Bytes.length big);
-  Alcotest.(check bool)
-    "oversized frame grew the buffer" true
-    (Wire.Decoder.capacity d >= Bytes.length big);
-  (match Wire.Decoder.next d with
-  | Some (Wire.Crashed _) -> ()
-  | _ -> Alcotest.fail "big frame did not decode");
-  Alcotest.(check int) "drained decoder shrank back" small_cap
-    (Wire.Decoder.capacity d);
-  (* steady small traffic afterwards never re-inflates it *)
-  let frame = Wire.encode Wire.Done in
-  for _ = 1 to 100 do
-    Wire.Decoder.feed d frame ~off:0 ~len:(Bytes.length frame);
-    match Wire.Decoder.next d with
-    | Some Wire.Done -> ()
-    | _ -> Alcotest.fail "small frame did not decode"
-  done;
-  Alcotest.(check int) "peak retained capacity stays small" small_cap
-    (Wire.Decoder.capacity d)
-
-let test_decoder_malformed () =
-  let d = Wire.Decoder.create () in
-  let bad = Bytes.create (1 + 4) in
-  Bytes.set bad 0 'D';
-  Bytes.set_int32_le bad 1 (Int32.of_int (Wire.max_frame + 1));
-  Wire.Decoder.feed d bad ~off:0 ~len:(Bytes.length bad);
-  check_protocol_error "decoder rejects oversized prefix" (fun () ->
-      Wire.Decoder.next d)
-
 (* Frames written with write_msg arrive intact through an OS pipe,
    split across however many reads the kernel chooses; EOF at a frame
    boundary is a clean [None]. *)
@@ -322,9 +241,11 @@ let test_fd_roundtrip () =
   Unix.close rd
 
 (* Property: any batched frame sequence survives encode → arbitrary
-   chunking → incremental decode.  Random [Batch]/[Outs] messages with
-   random payloads are concatenated and re-fed to a [Decoder] in random
-   split points; the recovered messages must equal the originals. *)
+   chunking → [read_msg].  Random [Batch]/[Outs] messages with random
+   payloads are concatenated and written into a pipe in random chunk
+   sizes by a writer thread that yields between chunks, so the reader
+   sees frames split at arbitrary points; the recovered messages must
+   equal the originals. *)
 let gen_item =
   QCheck.Gen.(
     frequency
@@ -361,40 +282,47 @@ let arb_stream =
       pair (list_size (1 -- 8) gen_msg) (list_size (int_bound 40) (1 -- 64)))
 
 let prop_batch_roundtrip =
-  QCheck.Test.make ~name:"batched frames survive chunked decode" ~count:200
+  QCheck.Test.make ~name:"batched frames survive chunked reads" ~count:200
     arb_stream (fun (msgs, cuts) ->
       let stream = Bytes.concat Bytes.empty (List.map Wire.encode msgs) in
-      let d = Wire.Decoder.create () in
-      let out = ref [] in
-      let drain () =
-        let rec go () =
-          match Wire.Decoder.next d with
-          | Some m ->
-              out := m :: !out;
-              go ()
-          | None -> ()
-        in
-        go ()
-      in
       let total = Bytes.length stream in
-      let pos = ref 0 in
-      (* feed in the generator's chunk sizes, then whatever remains *)
-      List.iter
-        (fun sz ->
-          let len = min sz (total - !pos) in
-          if len > 0 then begin
-            Wire.Decoder.feed d stream ~off:!pos ~len;
-            pos := !pos + len;
-            drain ()
-          end)
-        cuts;
-      if total - !pos > 0 then begin
-        Wire.Decoder.feed d stream ~off:!pos ~len:(total - !pos);
-        drain ()
-      end;
-      let out = List.rev !out in
-      List.length out = List.length msgs
-      && List.for_all2 msg_equal msgs out)
+      let rd, wr = Unix.pipe () in
+      (* a stream this small fits the pipe buffer, so the writer never
+         blocks even if the reader bails out early *)
+      let writer =
+        Thread.create
+          (fun () ->
+            let pos = ref 0 in
+            let put len =
+              let rec go off len =
+                if len > 0 then
+                  let n = Unix.write wr stream off len in
+                  go (off + n) (len - n)
+              in
+              go !pos len;
+              pos := !pos + len;
+              Thread.yield ()
+            in
+            (* the generator's chunk sizes, then whatever remains *)
+            List.iter (fun sz -> put (min sz (total - !pos))) cuts;
+            put (total - !pos);
+            Unix.close wr)
+          ()
+      in
+      let scratch = ref (Bytes.create 16) in
+      let rec read_all acc =
+        match Wire.read_msg ~scratch rd with
+        | Some m -> read_all (m :: acc)
+        | None -> List.rev acc
+      in
+      let out =
+        Fun.protect
+          ~finally:(fun () ->
+            Thread.join writer;
+            Unix.close rd)
+          (fun () -> read_all [])
+      in
+      List.length out = List.length msgs && List.for_all2 msg_equal msgs out)
 
 (* A frame much larger than the pipe buffer forces [write_all] through
    many short writes, and a repeating interval timer delivers real
@@ -482,20 +410,11 @@ let () =
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_trailing_bytes;
         ] );
-      ( "decoder",
-        [
-          Alcotest.test_case "byte-wise reassembly" `Quick
-            test_decoder_reassembly;
-          Alcotest.test_case "bulk feed" `Quick test_decoder_bulk;
-          Alcotest.test_case "shrink after oversized frame" `Quick
-            test_decoder_shrink;
-          Alcotest.test_case "malformed prefix" `Quick test_decoder_malformed;
-          QCheck_alcotest.to_alcotest prop_batch_roundtrip;
-        ] );
       ( "fds",
         [
           Alcotest.test_case "write_msg/read_msg over a pipe" `Quick
             test_fd_roundtrip;
+          QCheck_alcotest.to_alcotest prop_batch_roundtrip;
           Alcotest.test_case "short writes + EINTR" `Quick
             test_fd_short_writes_and_eintr;
           Alcotest.test_case "EOF mid-frame" `Quick test_fd_midframe_eof;
